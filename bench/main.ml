@@ -75,20 +75,28 @@ let ripe_protections =
   [ P.Vanilla; P.Hardened; P.Cookies; P.Safe_stack; P.Cfi; P.Cfi_type;
     P.Cps; P.Cpi; P.Cpi_crypt; P.Softbound ]
 
-let ripe_summaries =
+let ripe_runs =
   lazy
     (let pool = Engine.pool (Lazy.force eng) in
      Pool.map pool
        (fun prot ->
-         List.hd (R.run_matrix ~include_beyond_ripe:false ~protections:[ prot ] ()))
+         let t0 = Unix.gettimeofday () in
+         let s =
+           List.hd
+             (R.run_matrix ~include_beyond_ripe:false ~protections:[ prot ] ())
+         in
+         (s, int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
        ripe_protections
      |> List.map (function
-          | Ok s -> s
+          | Ok run -> run
           | Error e -> raise e))
 
-(* One journal entry per protection: CI watches for a hijack slipping
-   past CPS/CPI/SoftBound, which the paper says stop everything. *)
-let ripe_journal_entry (s : R.summary) : Journal.entry =
+let ripe_summaries = lazy (List.map fst (Lazy.force ripe_runs))
+
+(* One journal entry per protection, carrying the wall time of its
+   matrix: CI watches for a hijack slipping past CPS/CPI/SoftBound,
+   which the paper says stop everything. *)
+let ripe_journal_entry ((s : R.summary), wall_us) : Journal.entry =
   let must_stop_all =
     match s.R.protection with
     | P.Cps | P.Cpi | P.Cpi_crypt | P.Softbound -> true
@@ -104,7 +112,7 @@ let ripe_journal_entry (s : R.summary) : Journal.entry =
     cycles = 0; instrs = 0; mem_ops = 0; instrumented_mem_ops = 0;
     store_accesses = 0; store_footprint = 0; heap_peak = 0; checksum = 0;
     checks_elided = 0; mem_ops_demoted = 0; threads = 0; ctx_switches = 0;
-    races = 0; attempts = 1; wall_us = 0 }
+    races = 0; attempts = 1; wall_us }
 
 let bench_ripe () =
   header "RIPE-style attack matrix (paper Section 5.1)";
@@ -541,8 +549,8 @@ let run_target name f =
      match j with
      | Some j when name = "ripe" ->
        List.iter
-         (fun s -> Journal.record j (ripe_journal_entry s))
-         (Lazy.force ripe_summaries)
+         (fun run -> Journal.record j (ripe_journal_entry run))
+         (Lazy.force ripe_runs)
      | _ -> ()
    with exn ->
      let msg = Printexc.to_string exn in

@@ -76,17 +76,21 @@
        appends one record per cell to the run-store. Exits 1 iff a
        campaign invariant is violated.
 
-     levee history [--file FILE] [--diff A B] [--gate [A B]] [--tol f=p]
-       Read the append-only run-store (RUNS.jsonl by default; every
-       bench/perf/conc/faults run appends one record) and print the
-       trajectory. --diff compares two runs field-by-field; --gate
-       additionally checks per-field tolerances (cycles/sim_cycles 5%,
-       wall_us 50% unless overridden with --tol field=pct) and exits 1
-       naming each offending field when a delta exceeds its tolerance.
-       A and B are 0-based indices (negative counts from the end),
-       "last"/"prev", or a config name (most recent match); --gate
-       alone compares prev vs last. Malformed store lines are precise
-       errors (file:line), exit 2. *)
+     levee history [--file FILE] [--diff A B] [--gate [A B | SINCE]]
+                   [--tol f=p]
+       Read the append-only run-store (RUNS.jsonl by default; bench,
+       conc, faults, serve, crossval and analyze runs append records)
+       and print the trajectory. --diff compares two runs
+       field-by-field; --gate A B additionally checks per-field
+       tolerances (cycles 5%, wall_us 50% unless overridden with --tol
+       field=pct) and exits 1 naming each offending field when a delta
+       exceeds its tolerance. A and B are 0-based indices (negative
+       counts from the end), "last"/"prev", or a config name (most
+       recent match); --gate alone compares prev vs last. --gate SINCE
+       gates every run at index >= SINCE against the newest run before
+       SINCE with the same (schema, config, seed); a run with no such
+       predecessor seeds the baseline and passes. Malformed store lines
+       are precise errors (file:line), exit 2. *)
 
 module P = Levee_core.Pipeline
 module M = Levee_machine
@@ -94,6 +98,7 @@ module Pool = Levee_support.Pool
 module Journal = Levee_support.Journal
 module Runstore = Levee_support.Runstore
 module Faults = Levee_harness.Faults
+module Engine = Levee_harness.Engine
 
 let usage () =
   prerr_endline
@@ -113,7 +118,7 @@ let usage () =
     \       levee serve [--json] [--jobs N] [--seeds N] [--workers N]\n\
     \                   [--shards N] [--requests N] [--no-faults]\n\
     \                   [--record FILE]\n\
-    \       levee history [--file FILE] [--diff A B] [--gate [A B]]\n\
+    \       levee history [--file FILE] [--diff A B] [--gate [A B | SINCE]]\n\
     \                     [--tol field=pct]";
   exit 2
 
@@ -257,7 +262,8 @@ let run_faults args =
    | None -> ());
   exit (if Faults.invariants_ok rep then 0 else 1)
 
-(* levee history [--file FILE] [--diff A B] [--gate [A B]] [--tol f=p] *)
+(* levee history [--file FILE] [--diff A B] [--gate [A B | SINCE]]
+   [--tol f=p] *)
 let run_history args =
   let file = ref Runstore.default_path in
   let diff = ref None in
@@ -285,9 +291,15 @@ let run_history args =
       diff := Some (a, b);
       parse rest
     | ("--gate" | "-gate") :: a :: b :: rest when is_spec a && is_spec b ->
-      gate := Some (a, b);
+      gate := Some (`Pair (a, b));
       parse rest
-    | ("--gate" | "-gate") :: rest -> gate := Some ("prev", "last"); parse rest
+    | ("--gate" | "-gate") :: since :: rest
+      when int_of_string_opt since <> None ->
+      gate := Some (`Since (int_of_string since));
+      parse rest
+    | ("--gate" | "-gate") :: rest ->
+      gate := Some (`Pair ("prev", "last"));
+      parse rest
     | ("--tol" | "-tol") :: spec :: rest ->
       (match parse_tol spec with
        | Some t -> tols := t :: !tols
@@ -309,15 +321,26 @@ let run_history args =
         Printf.eprintf "levee history: %s: %s\n" spec msg;
         exit 2
     in
+    (* --tol overrides win: tolerances are consulted first-match. *)
+    let tolerances = List.rev !tols @ Runstore.default_tolerances in
     (match (!gate, !diff) with
-     | Some (a, b), _ ->
+     | Some (`Pair (a, b)), _ ->
        let a = get a and b = get b in
        print_string (Runstore.diff_human a b);
-       (* --tol overrides win: tolerances are consulted first-match. *)
-       let tolerances = List.rev !tols @ Runstore.default_tolerances in
        let violations = Runstore.gate ~tolerances a b in
        print_string (Runstore.gate_human violations);
        exit (if violations = [] then 0 else 1)
+     | Some (`Since since), _ ->
+       (match Runstore.gate_since ~tolerances rs since with
+        | Error msg ->
+          Printf.eprintf "levee history: --gate %d: %s\n" since msg;
+          exit 2
+        | Ok steps ->
+          print_string (Runstore.gate_since_human rs steps);
+          let ok =
+            List.for_all (fun st -> st.Runstore.violations = []) steps
+          in
+          exit (if ok then 0 else 1))
      | None, Some (a, b) ->
        print_string (Runstore.diff_human (get a) (get b));
        exit 0
@@ -420,23 +443,9 @@ let run_conc args =
     (fun (prot, store_impl, (st : Levee_core.Stats.t), (r : M.Interp.result)) ->
       if not (check r) then incr bad;
       Journal.record j
-        { Journal.workload = w.W.Workload.name;
-          protection = P.protection_name prot;
-          store = M.Safestore.impl_name store_impl;
-          outcome = M.Trap.outcome_to_string r.M.Interp.outcome;
-          status = (if check r then 0 else 1);
-          cycles = r.M.Interp.cycles; instrs = r.M.Interp.instrs;
-          mem_ops = r.M.Interp.mem_ops;
-          instrumented_mem_ops = r.M.Interp.instrumented_mem_ops;
-          store_accesses = r.M.Interp.store_accesses;
-          store_footprint = r.M.Interp.store_footprint;
-          heap_peak = r.M.Interp.heap_peak; checksum = r.M.Interp.checksum;
-          checks_elided = st.Levee_core.Stats.checks_elided;
-          mem_ops_demoted = st.Levee_core.Stats.mem_ops_demoted;
-          threads = r.M.Interp.threads;
-          ctx_switches = r.M.Interp.ctx_switches;
-          races = r.M.Interp.races;
-          attempts = 1; wall_us = 0 })
+        (Engine.journal_entry ~workload:w.W.Workload.name ~protection:prot
+           ~store:store_impl ~status:(if check r then 0 else 1) ~attempts:1
+           ~wall_us:0 st r))
     runs;
   if !json then print_string (Journal.to_json j)
   else begin
@@ -454,7 +463,7 @@ let run_conc args =
       !seed base.M.Interp.checksum
   end;
   (* wall_us is already zeroed in every entry, so the appended record is
-     byte-identical whatever --jobs was (the @history-smoke contract). *)
+     byte-identical whatever --jobs was (the @jobs-smoke contract). *)
   (match !record with
    | Some path ->
      Runstore.append ~path (Journal.to_record ~kind:"conc" ~seed:!seed j)
@@ -590,26 +599,10 @@ let () =
   let file = match !file with Some f -> f | None -> usage () in
   let checked, prog = compile_or_die file in
   let annotated = checked.Levee_minic.Typecheck.sensitive_structs in
-  let journal_entry prot (st : Levee_core.Stats.t) (r : M.Interp.result)
-      wall_us : Journal.entry =
-    { Journal.workload = Filename.basename file;
-      protection = P.protection_name prot;
-      store = M.Safestore.impl_name !store_impl;
-      outcome = M.Trap.outcome_to_string r.M.Interp.outcome;
-      status = (match r.M.Interp.outcome with M.Trap.Exit 0 -> 0 | _ -> 1);
-      cycles = r.M.Interp.cycles; instrs = r.M.Interp.instrs;
-      mem_ops = r.M.Interp.mem_ops;
-      instrumented_mem_ops = r.M.Interp.instrumented_mem_ops;
-      store_accesses = r.M.Interp.store_accesses;
-      store_footprint = r.M.Interp.store_footprint;
-      heap_peak = r.M.Interp.heap_peak; checksum = r.M.Interp.checksum;
-      checks_elided = st.Levee_core.Stats.checks_elided;
-      mem_ops_demoted = st.Levee_core.Stats.mem_ops_demoted;
-      threads = r.M.Interp.threads;
-      ctx_switches = r.M.Interp.ctx_switches;
-      races = r.M.Interp.races;
-      attempts = 1;
-      wall_us }
+  let journal_entry prot st r wall_us =
+    Engine.journal_entry ~workload:(Filename.basename file) ~protection:prot
+      ~store:!store_impl ~status:(Engine.exit_status r) ~attempts:1 ~wall_us
+      st r
   in
   let write_journal entries =
     match !json_out with

@@ -22,9 +22,8 @@ let cell ?(store_impl = M.Safestore.Simple_array) workload protection =
 
 type exec = {
   result : M.Interp.result;
-  elided : int;   (* static checks removed by elision (Stats.checks_elided) *)
-  demoted : int;  (* accesses demoted by the points-to refinement *)
-  attempts : int; (* executions before this result (retry accounting) *)
+  stats : Levee_core.Stats.t;  (* static statistics of the built program *)
+  attempts : int;              (* executions before this result (retry accounting) *)
   wall_us : int;
 }
 
@@ -72,19 +71,18 @@ let exec_cell t c =
     M.Interp.run_program ~input:w.W.Workload.input ~fuel b.P.prog b.P.config
   in
   let wall_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  { result;
-    elided = b.P.stats.Levee_core.Stats.checks_elided;
-    demoted = b.P.stats.Levee_core.Stats.mem_ops_demoted;
-    attempts = 1;
-    wall_us }
+  { result; stats = b.P.stats; attempts = 1; wall_us }
 
-let entry_of c (e : exec) : Journal.entry =
-  let r = e.result in
-  { Journal.workload = c.workload.W.Workload.name;
-    protection = P.protection_name c.protection;
-    store = M.Safestore.impl_name c.store_impl;
+let exit_status (r : M.Interp.result) =
+  match r.M.Interp.outcome with M.Trap.Exit 0 -> 0 | _ -> 1
+
+let journal_entry ~workload ~protection ~store ~status ~attempts ~wall_us
+    (st : Levee_core.Stats.t) (r : M.Interp.result) : Journal.entry =
+  { Journal.workload;
+    protection = P.protection_name protection;
+    store = M.Safestore.impl_name store;
     outcome = M.Trap.outcome_to_string r.M.Interp.outcome;
-    status = (match r.M.Interp.outcome with M.Trap.Exit 0 -> 0 | _ -> 1);
+    status;
     cycles = r.M.Interp.cycles;
     instrs = r.M.Interp.instrs;
     mem_ops = r.M.Interp.mem_ops;
@@ -93,13 +91,18 @@ let entry_of c (e : exec) : Journal.entry =
     store_footprint = r.M.Interp.store_footprint;
     heap_peak = r.M.Interp.heap_peak;
     checksum = r.M.Interp.checksum;
-    checks_elided = e.elided;
-    mem_ops_demoted = e.demoted;
+    checks_elided = st.Levee_core.Stats.checks_elided;
+    mem_ops_demoted = st.Levee_core.Stats.mem_ops_demoted;
     threads = r.M.Interp.threads;
     ctx_switches = r.M.Interp.ctx_switches;
     races = r.M.Interp.races;
-    attempts = e.attempts;
-    wall_us = e.wall_us }
+    attempts;
+    wall_us }
+
+let entry_of c (e : exec) =
+  journal_entry ~workload:c.workload.W.Workload.name ~protection:c.protection
+    ~store:c.store_impl ~status:(exit_status e.result) ~attempts:e.attempts
+    ~wall_us:e.wall_us e.stats e.result
 
 (* Integrate one freshly executed cell: memoize, journal, track vanilla
    failures. Runs on the submitting domain, in submission order. *)

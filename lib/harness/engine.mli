@@ -38,6 +38,18 @@ val create :
 val jobs : t -> int
 val pool : t -> Levee_support.Pool.t
 
+(** 0 iff the run ended in [Exit 0], else 1: the journal's default
+    [status]. *)
+val exit_status : M.Interp.result -> int
+
+(** The one constructor of a {!Levee_support.Journal.entry} from a
+    built program's statistics and its run; callers that judge a run by
+    more than its exit (e.g. `levee conc`) pass their own [status]. *)
+val journal_entry :
+  workload:string -> protection:P.protection -> store:M.Safestore.impl ->
+  status:int -> attempts:int -> wall_us:int ->
+  Levee_core.Stats.t -> M.Interp.result -> Levee_support.Journal.entry
+
 (** Route subsequent executions' records to [j] (one journal per bench
     target). *)
 val set_journal : t -> Levee_support.Journal.t option -> unit

@@ -37,7 +37,7 @@ type config = {
     {vanilla, safestack, cpi} x seeds [0; 1], faults on. *)
 val default : config
 
-(** A small matrix for tests and the [@serve-smoke] alias: same shape,
+(** A small matrix for tests and the [@jobs-smoke] alias: same shape,
     12k requests per cell. *)
 val smoke : config
 

@@ -135,14 +135,21 @@ let equal ?(ignore_wall = true) a b =
   a.target_name = b.target_name
   && List.map strip (entries a) = List.map strip (entries b)
 
+(* [Trap.outcome_to_string Fuel_exhausted]: a run stopped by the
+   instruction budget (a deliberate --fuel-cap), not a failure. *)
+let fuel_exhausted = "fuel exhausted"
+
 let summary_line t =
   let es = entries t in
-  let failed = List.length (List.filter (fun e -> e.status <> 0) es) in
+  let count p = List.length (List.filter p es) in
+  let capped = count (fun e -> e.outcome = fuel_exhausted) in
+  let failed = count (fun e -> e.status <> 0 && e.outcome <> fuel_exhausted) in
   let cycles = List.fold_left (fun acc e -> acc + e.cycles) 0 es in
   let wall = List.fold_left (fun acc e -> acc + e.wall_us) 0 es in
   Printf.sprintf
-    "[journal] %s: %d runs (%d failed), %d model cycles, %.1f ms wall, jobs=%d"
-    t.target_name (List.length es) failed cycles
+    "[journal] %s: %d runs (%d failed, %d fuel-capped), %d model cycles, \
+     %.1f ms wall, jobs=%d"
+    t.target_name (List.length es) failed capped cycles
     (float_of_int wall /. 1000.) t.jobs_used
 
 let write ?(dir = ".") t =

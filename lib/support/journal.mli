@@ -58,7 +58,10 @@ val of_json : string -> t
     nondeterministic [wall_us] fields before comparing. *)
 val equal : ?ignore_wall:bool -> t -> t -> bool
 
-(** One-line human summary: entry count, failures, total cycles. *)
+(** One-line human summary: entry count, failures, fuel-capped runs,
+    total cycles. A run whose outcome is ["fuel exhausted"] (the
+    instruction budget ran out, e.g. under [--fuel-cap]) counts as
+    fuel-capped, never as failed. *)
 val summary_line : t -> string
 
 (** Write [BENCH_<target>.json] under [dir] (default ["."]) and return

@@ -1,8 +1,8 @@
 (** Shared JSON emission and parsing helpers.
 
     The toolchain has no JSON library; every schema in the repo
-    ([levee-bench-journal/*], [levee-bench-perf/*], [levee-analyze/*],
-    [levee-faults/*], [levee-history/*]) emits objects, arrays, strings
+    ([levee-bench-journal/*], [levee-analyze/*], [levee-faults/*],
+    [levee-serve/*], [levee-crossval/*], [levee-history/*]) emits objects, arrays, strings
     and numbers by hand. This module is the single definition of the
     string-escaping and float-formatting dialect, the field/object
     combinators, and the reader, so every emitter produces — and every

@@ -1,7 +1,7 @@
 (* Append-only run-store (see runstore.mli).
 
    One JSONL history file — RUNS.jsonl by default — where every harness
-   (bench journals, the perf harness, fault campaigns, `levee conc`)
+   (bench journals, fault and serve campaigns, `levee conc`)
    appends exactly one summary record per run. A record is a single
    line, so appends from different invocations never interleave
    partially, the file is trivially diffable, and truncation corrupts at
@@ -224,8 +224,7 @@ let diff_human a b =
 (* ---------- the regression gate ---------- *)
 
 let default_tolerances =
-  [ ("cycles", 5.0); ("sim_cycles", 5.0); ("wall_us", 50.0);
-    ("wall_us_total", 50.0);
+  [ ("cycles", 5.0); ("wall_us", 50.0);
     (* Static-analysis and cross-validation counts are pure functions of
        the analyzed source, so they gate at exactly 0%: any drift is a
        real behaviour change to re-baseline deliberately, never noise. *)
@@ -246,15 +245,12 @@ let default_tolerances =
        the per-backend hijack counts over the protection spectrum are
        exact functions of the campaign seed, so any drift is a behaviour
        change — gate at 0%. Aggregate simulated cycles gate like every
-       other cycle metric, at 5% (the "cycles" entry above covers them).
-       The perf-harness simulated totals (levee-bench-perf/3) likewise
-       ride the existing sim_cycles/sim_instrs entries. *)
+       other cycle metric, at 5% (the "cycles" entry above covers them). *)
     ("runs", 0.0); ("hijacked", 0.0); ("trapped", 0.0); ("crash", 0.0);
     ("masked", 0.0); ("benign", 0.0); ("fuel_exhausted", 0.0);
     ("hijacked_vanilla", 0.0); ("hijacked_cfi", 0.0);
     ("hijacked_cfi_type", 0.0); ("hijacked_cpi", 0.0);
-    ("hijacked_cpi_crypt", 0.0);
-    ("sim_instrs", 5.0) ]
+    ("hijacked_cpi_crypt", 0.0) ]
 
 type violation = {
   vfield : string;
@@ -299,6 +295,66 @@ let gate_human violations =
       vs;
     Buffer.contents buf
 
+(* ---------- the keyed gate ---------- *)
+
+(* The gate key leaves the commit out of {!key}: a run is gated against
+   the previous commit's record of the same configuration, and a schema
+   bump starts a fresh baseline instead of gating against the old shape. *)
+let gate_key r = (r.schema, r.config, r.seed)
+
+type gate_step = {
+  index : int;
+  baseline : int option;
+  violations : violation list;
+}
+
+let gate_since ?tolerances rs spec =
+  let recs = Array.of_list rs in
+  let n = Array.length recs in
+  let since = if spec < 0 then n + spec else spec in
+  if since < 0 || since > n then
+    Error
+      (Printf.sprintf "run %d out of range (store has %d run%s)" spec n
+         (if n = 1 then "" else "s"))
+  else begin
+    let newest_before i =
+      let k = gate_key recs.(i) in
+      let rec go j =
+        if j < 0 then None
+        else if gate_key recs.(j) = k then Some j
+        else go (j - 1)
+      in
+      go (since - 1)
+    in
+    Ok
+      (List.init (n - since) (fun d ->
+           let index = since + d in
+           match newest_before index with
+           | None -> { index; baseline = None; violations = [] }
+           | Some b ->
+             { index; baseline = Some b;
+               violations = gate ?tolerances recs.(b) recs.(index) }))
+  end
+
+let gate_since_human rs steps =
+  let recs = Array.of_list rs in
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun st ->
+      let r = recs.(st.index) in
+      match st.baseline with
+      | None ->
+        Buffer.add_string buf
+          (Printf.sprintf "== run %d: %s: no earlier record, baseline seeded ==\n"
+             st.index (describe r))
+      | Some b ->
+        Buffer.add_string buf
+          (Printf.sprintf "== run %d -> %d ==\n" b st.index);
+        Buffer.add_string buf (diff_human recs.(b) r);
+        Buffer.add_string buf (gate_human st.violations))
+    steps;
+  Buffer.contents buf
+
 (* ---------- trajectory listing ---------- *)
 
 let list_human rs =
@@ -309,12 +365,9 @@ let list_human rs =
   List.iteri
     (fun i r ->
       let cycles =
-        match
-          ( List.assoc_opt "cycles" r.metrics,
-            List.assoc_opt "sim_cycles" r.metrics )
-        with
-        | Some v, _ | None, Some v -> value_display v
-        | None, None -> "-"
+        match List.assoc_opt "cycles" r.metrics with
+        | Some v -> value_display v
+        | None -> "-"
       in
       Buffer.add_string buf
         (Printf.sprintf "  %3d  %-7s %-24s %-10s %5d %12s %12d  %s\n" i

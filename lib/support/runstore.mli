@@ -1,7 +1,7 @@
 (** Append-only run-store: the repo's performance-trajectory history.
 
-    Every harness in the tree — the bench journals, the wall-clock perf
-    harness, fault campaigns, `levee conc` — appends one summary
+    Every harness in the tree — the bench journals, the fault and serve
+    campaigns, `levee conc`, `levee analyze --record` — appends one summary
     {!record} per run to a single JSONL file ([RUNS.jsonl] by default):
     one JSON object per line, envelope version [levee-history/1], keyed
     by [(schema, commit, config, seed)]. The file is append-only and
@@ -15,12 +15,12 @@
     under any [--jobs] width yields byte-identical lines. *)
 
 (** A metric value. Ints dominate; floats (one-decimal dialect) carry
-    rates such as [cells_per_sec]; strings carry verdicts. *)
+    rates; strings carry verdicts. *)
 type value = Int of int | Float of float | Str of string
 
 type record = {
   schema : string;   (** producer schema, e.g. ["levee-bench-journal/4"] *)
-  kind : string;     (** producer family: ["bench"], ["perf"], ["conc"], ["faults"] *)
+  kind : string;     (** producer family: ["bench"], ["conc"], ["faults"], ["serve"], ... *)
   commit : string;   (** source revision, or ["unknown"] *)
   config : string;   (** run configuration, e.g. ["table1"], ["web-conc-t4-s0"] *)
   seed : int;        (** campaign / scheduler seed (0 when inert) *)
@@ -93,10 +93,10 @@ val diff : record -> record -> delta list
 val diff_human : record -> record -> string
 
 (** Per-field percentage tolerances the gate applies by default:
-    [cycles]/[sim_cycles] and the serve latency percentiles
-    ([p50_cycles]/[p99_cycles]/[p999_cycles]) 5%, [wall_us]/
-    [wall_us_total] 50%, and exact-count fields (analysis findings,
-    serve terminal accounting) 0%. Fields not listed are reported by
+    [cycles] and the serve latency percentiles
+    ([p50_cycles]/[p99_cycles]/[p999_cycles]) 5%, [wall_us] 50%, and
+    exact-count fields (analysis findings, serve terminal accounting,
+    fault classifications) 0%. Fields not listed are reported by
     {!diff} but never gated. *)
 val default_tolerances : (string * float) list
 
@@ -116,6 +116,31 @@ val gate : ?tolerances:(string * float) list -> record -> record -> violation li
 (** ["gate: OK ..."] or ["gate: FAIL"] plus one line per violation
     naming the offending field. *)
 val gate_human : violation list -> string
+
+(** One record gated by {!gate_since}: [baseline] is the index of the
+    record it was compared with, [None] when no earlier record shares its
+    key (the baseline is seeded; never a failure). *)
+type gate_step = {
+  index : int;
+  baseline : int option;
+  violations : violation list;
+}
+
+(** [gate_since rs since] gates every record at index [>= since]
+    (negative counts from the end) against the newest record at an index
+    [< since] with the same [(schema, config, seed)]. Unlike {!key} this
+    leaves the commit out, so a run is gated against the previous
+    commit's record of its configuration, and a schema bump seeds a
+    fresh baseline. [Error] when [since] is out of range. *)
+val gate_since :
+  ?tolerances:(string * float) list ->
+  record list ->
+  int ->
+  (gate_step list, string) result
+
+(** One block per step: a ["baseline seeded"] line, or the diff table
+    plus the {!gate_human} verdict. *)
+val gate_since_human : record list -> gate_step list -> string
 
 (** The trajectory table `levee history` prints. *)
 val list_human : record list -> string

@@ -6,17 +6,19 @@
 # cell, via `levee serve --record`), the fault campaign over the full
 # protection spectrum (one levee-faults/3 record carrying the
 # per-backend hijack counts, via `levee faults --record`) and the
-# simulator wall-clock summary (bench/perf.exe appends its own record)
-# — and then runs `levee history --gate` for each appended config
-# against the most recent earlier record of the same (schema, config,
-# seed). The gate compares field-by-field under the default tolerances
-# (simulated cycles and latency percentiles 5%, terminal accounting and
-# hijack counts 0%, wall clock 50%); a key with no prior record is
-# skipped — the append itself seeds the baseline the next CI run gates
-# against, which is also how a deliberate schema bump re-baselines
-# without tripping the gate on shape changes.
+# table1 + ripe bench journals at --jobs 1 (one levee-bench-journal/4
+# record per target, carrying simulated totals and host wall time) —
+# and then runs `levee history --gate SINCE`, which gates every
+# appended record against the most recent earlier record with the same
+# (schema, config, seed). The gate compares field-by-field under the
+# default tolerances (simulated cycles and latency percentiles 5%,
+# terminal accounting and hijack counts 0%, wall clock 50%); a key with
+# no prior record is reported as "baseline seeded" and passes — the
+# append itself seeds the baseline the next CI run gates against, which
+# is also how a deliberate schema bump re-baselines without tripping
+# the gate on shape changes.
 #
-# Usage: scripts/ci.sh [perf-fuel-cap]     (default fuel cap: 20000)
+# Usage: scripts/ci.sh [bench-fuel-cap]     (default fuel cap: 20000)
 
 set -eu
 
@@ -32,12 +34,12 @@ dune runtest
 
 LEVEE="dune exec --no-build bin/levee.exe --"
 
-# How many records the store holds before this run's appends: configs
-# appended below gate only against records at an index < BASE.
+# How many records the store holds before this run's appends: every
+# record from index SINCE on is gated.
 if [ -f "$STORE" ]; then
-  BASE=$(grep -c . "$STORE")
+  SINCE=$(grep -c . "$STORE" || true)
 else
-  BASE=0
+  SINCE=0
 fi
 
 echo "== append: serve smoke matrix =="
@@ -46,39 +48,12 @@ $LEVEE serve --requests 12000 --record "$STORE" > /dev/null
 echo "== append: fault campaign (protection spectrum) =="
 $LEVEE faults --record "$STORE" > /dev/null
 
-echo "== append: perf summary (fuel cap $FUEL) =="
-dune exec --no-build bench/perf.exe -- --fuel-cap "$FUEL" > /dev/null
+echo "== append: table1 + ripe journals (fuel cap $FUEL) =="
+dune exec --no-build bench/main.exe -- --jobs 1 --fuel-cap "$FUEL" \
+  table1 ripe > /dev/null
 
-# Gate every appended record against the most recent pre-existing
-# record with the same (schema, config, seed) — serve appends one record
-# per matrix seed under the same config name, and the schema in the key
-# means a bumped record (new fields, new sweep shape) seeds a fresh
-# baseline instead of tripping the gate against the old shape. Records
-# are one JSON object per line; 0-based line indices are exactly the run
-# specs `levee history --gate A B` consumes.
-FAIL=0
-TOTAL=$(grep -c . "$STORE")
-i=$BASE
-while [ "$i" -lt "$TOTAL" ]; do
-  line=$(sed -n "$((i + 1))p" "$STORE")
-  schema=$(printf '%s' "$line" | sed 's/.*"schema":"\([^"]*\)".*/\1/')
-  config=$(printf '%s' "$line" | sed 's/.*"config":"\([^"]*\)".*/\1/')
-  seed=$(printf '%s' "$line" | sed 's/.*"seed":\([0-9-]*\).*/\1/')
-  key="\"schema\":\"$schema\",.*\"config\":\"$config\",\"seed\":$seed,"
-  prev=$(head -n "$BASE" "$STORE" | grep -n "$key" \
-         | tail -n 1 | cut -d: -f1 || true)
-  if [ -n "$prev" ]; then
-    echo "== gate: $config seed $seed (run $((prev - 1)) -> $i) =="
-    if ! $LEVEE history --file "$STORE" --gate "$((prev - 1))" "$i"; then
-      FAIL=1
-    fi
-  else
-    echo "== gate: $schema $config seed $seed — no prior record, baseline seeded =="
-  fi
-  i=$((i + 1))
-done
-
-if [ "$FAIL" -ne 0 ]; then
+echo "== gate: runs $SINCE.. =="
+if ! $LEVEE history --file "$STORE" --gate "$SINCE"; then
   echo "ci: FAIL (regression gate)"
   exit 1
 fi

@@ -337,7 +337,7 @@ let test_golden_extended () =
    bytes: the same run appended under any --jobs width must produce
    byte-identical JSONL lines (wall_us is the one nondeterministic
    field; zero_wall drops it, and `levee conc` records it as 0), and
-   the `levee history` renderings are pinned so the @history-smoke
+   the `levee history` renderings are pinned so the @jobs-smoke
    byte-compares and any downstream tooling can rely on them. *)
 
 module RS = Levee_support.Runstore

@@ -308,7 +308,7 @@ let test_ripe_spectrum_ordering () =
     crypt
 
 (* ---------- mem_ops_demoted: pin the firing subject ----------
-   BENCH_perf.json reports mem_ops_demoted = 0 over the table1 matrix,
+   BENCH_table1.json reports mem_ops_demoted = 0 over the table1 matrix,
    which looks like a dead metric. It is not: the refinement only demotes
    sensitivity-typed accesses it can prove data-only (the void*-handle
    pattern), and the synthetic SPEC workloads never traffic code-typed

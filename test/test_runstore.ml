@@ -1,14 +1,16 @@
-(* Run-store tests: encode/decode round-trips for every record schema
-   the producers append (journal/4, perf/2, faults/2 and the generic
+(* Run-store tests: encode/decode round-trips for every record shape
+   (journal/4, faults/3, a mixed int/float rate record and the generic
    history/1 envelope) over Rng-seeded field values, precise rejection
    of malformed/truncated JSONL, the append/load file contract, run
-   selection, the regression gate, and the one canonical float
-   formatter every JSON dialect shares. *)
+   selection, the regression gate and its keyed form, the journal's
+   summary line, and the one canonical float formatter every JSON
+   dialect shares. *)
 
 module R = Levee_support.Rng
 module RS = Levee_support.Runstore
 module J = Levee_support.Jsonenc
 module Journal = Levee_support.Journal
+module M = Levee_machine
 
 (* ---------- generators ---------- *)
 
@@ -32,9 +34,9 @@ let journal_fields =
     "instrumented_mem_ops"; "store_accesses"; "checks_elided";
     "mem_ops_demoted"; "ctx_switches"; "races"; "checksum" ]
 
-let perf_int_fields =
-  [ "fuel_cap"; "cells"; "cells_wall_us"; "ripe_wall_us"; "sim_cycles";
-    "sim_instrs"; "checks_elided"; "mem_ops_demoted" ]
+let rate_int_fields =
+  [ "fuel_cap"; "cells"; "cells_wall_us"; "ripe_wall_us"; "checks_elided";
+    "mem_ops_demoted" ]
 
 let faults_fields =
   [ "runs"; "hijacked"; "trapped"; "crash"; "masked"; "benign";
@@ -48,10 +50,11 @@ let gen_journal rng =
     ~seed:(R.range rng (-3) 1000) ~wall_us:(R.int rng 1_000_000)
     (List.map (fun k -> (k, RS.Int (rand_int rng))) journal_fields)
 
-let gen_perf rng =
-  RS.make ~schema:"levee-bench-perf/3" ~kind:"perf"
-    ~commit:(rand_string rng) ~config:"perf" ~wall_us:(R.int rng 1_000_000)
-    (List.map (fun k -> (k, RS.Int (rand_int rng))) perf_int_fields
+(* Ints and a one-decimal rate in one record. *)
+let gen_rates rng =
+  RS.make ~schema:"rates/1" ~kind:"rates"
+    ~commit:(rand_string rng) ~config:"rates" ~wall_us:(R.int rng 1_000_000)
+    (List.map (fun k -> (k, RS.Int (rand_int rng))) rate_int_fields
     @ [ ("cells_per_sec", RS.Float (rand_float rng)) ])
 
 let gen_faults rng =
@@ -102,8 +105,8 @@ let test_roundtrip_all_schemas () =
     (fun seed ->
       let rng = R.create seed in
       check_roundtrip "journal/4" (gen_journal rng);
-      check_roundtrip "perf/2" (gen_perf rng);
-      check_roundtrip "faults/2" (gen_faults rng);
+      check_roundtrip "rates/1" (gen_rates rng);
+      check_roundtrip "faults/3" (gen_faults rng);
       check_roundtrip "history/1" (gen_history rng))
     (List.init 50 (fun i -> 1000 + (i * 7)))
 
@@ -132,7 +135,7 @@ let test_truncated_rejected () =
       String.length line - 1 ]
 
 let test_malformed_rejected () =
-  let good = RS.to_line (gen_perf (R.create 7)) in
+  let good = RS.to_line (gen_rates (R.create 7)) in
   expect_error "empty line is no record" "{}";
   expect_error "trailing garbage" (good ^ "}");
   expect_error "not JSON" "truncated{";
@@ -182,7 +185,7 @@ let test_load_reports_bad_line () =
   with_store (fun path ->
       let rng = R.create 6 in
       RS.append ~path (gen_journal rng);
-      RS.append ~path (gen_perf rng);
+      RS.append ~path (gen_rates rng);
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "{\"v\":\"levee-history/1\",\"schema\":\"trunc";
       close_out oc;
@@ -278,6 +281,94 @@ let test_gate_tolerance_override () =
   Alcotest.(check bool) "races not gated by default" true
     (RS.gate (rec_with_cycles 1000) big_races = [])
 
+(* ---------- the keyed gate ---------- *)
+
+let keyed ?(schema = "levee-bench-journal/4") ?(commit = "c") ?(seed = 0)
+    config cycles =
+  RS.make ~schema ~kind:"k" ~commit ~config ~seed [ ("cycles", RS.Int cycles) ]
+
+let gate_since rs since =
+  match RS.gate_since rs since with
+  | Ok steps -> steps
+  | Error e -> Alcotest.failf "gate_since %d: %s" since e
+
+let baselines steps =
+  List.map (fun st -> (st.RS.index, st.RS.baseline)) steps
+
+let test_gate_since_mixed_keys () =
+  (* Interleaved schemas, configs and seeds: each new record finds the
+     newest earlier record with its own (schema, config, seed). *)
+  let rs =
+    [ keyed "table1" 100;                          (* 0 *)
+      keyed ~seed:7 "table1" 200;                  (* 1 *)
+      keyed ~schema:"levee-faults/3" "table1" 300; (* 2 *)
+      keyed "ripe" 400;                            (* 3 *)
+      keyed "table1" 101;                          (* 4: stale baseline *)
+      keyed ~seed:7 "table1" 201;                  (* since = 5 *)
+      keyed "ripe" 401;
+      keyed ~schema:"levee-faults/3" "table1" 301;
+      keyed "table1" 102 ]
+  in
+  let steps = gate_since rs 5 in
+  Alcotest.(check (list (pair int (option int))))
+    "each record gated against its own key"
+    [ (5, Some 1); (6, Some 3); (7, Some 2); (8, Some 4) ]
+    (baselines steps);
+  Alcotest.(check bool) "all within tolerance" true
+    (List.for_all (fun st -> st.RS.violations = []) steps);
+  Alcotest.(check (list (pair int (option int))))
+    "negative SINCE counts from the end" [ (8, Some 4) ]
+    (baselines (gate_since rs (-1)));
+  Alcotest.(check (list (pair int (option int))))
+    "SINCE = length gates nothing" [] (baselines (gate_since rs 9));
+  (match RS.gate_since rs 10 with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "out-of-range SINCE accepted")
+
+let test_gate_since_seeds_baseline () =
+  (* A key with no earlier record is skipped, never a failure; and a
+     record after SINCE is no baseline for another one after SINCE. *)
+  let rs = [ keyed "table1" 100; keyed "serve" 5; keyed "serve" 9000 ] in
+  let steps = gate_since rs 1 in
+  Alcotest.(check (list (pair int (option int))))
+    "both new records seed" [ (1, None); (2, None) ] (baselines steps);
+  Alcotest.(check bool) "no violations" true
+    (List.for_all (fun st -> st.RS.violations = []) steps);
+  let human = RS.gate_since_human rs steps in
+  Alcotest.(check bool) "reported as baseline seeded" true
+    (List.length (String.split_on_char '\n' human) = 3
+    && List.for_all
+         (fun l -> l = "" || Helpers.contains l "baseline seeded")
+         (String.split_on_char '\n' human))
+
+let test_gate_since_schema_bump () =
+  (* A schema bump with doubled cycles: the new shape seeds a fresh
+     baseline instead of failing against the old one. *)
+  let rs =
+    [ keyed ~schema:"levee-bench-journal/4" "table1" 100;
+      keyed ~schema:"levee-bench-journal/5" "table1" 200 ]
+  in
+  Alcotest.(check (list (pair int (option int))))
+    "bumped schema not gated" [ (1, None) ] (baselines (gate_since rs 1))
+
+let test_gate_since_across_commits () =
+  (* The gate key leaves the commit out: the next commit's run of the
+     same config is gated, and a >5% cycle regression names the field. *)
+  let rs =
+    [ keyed ~commit:"aaaa111" "table1" 1000;
+      keyed ~commit:"bbbb222" "table1" 1100 ]
+  in
+  match gate_since rs 1 with
+  | [ { RS.index = 1; baseline = Some 0; violations = [ v ] } ] ->
+    Alcotest.(check string) "offending field named" "cycles" v.RS.vfield;
+    let human = RS.gate_since_human rs (gate_since rs 1) in
+    Alcotest.(check bool) "human verdict names the field" true
+      (Helpers.contains human "gate: FAIL"
+      && Helpers.contains human "cycles: 1000 -> 1100")
+  | steps ->
+    Alcotest.failf "expected one gated violation, got %d step(s)"
+      (List.length steps)
+
 (* ---------- journal projection ---------- *)
 
 let entry workload cycles wall : Journal.entry =
@@ -287,6 +378,23 @@ let entry workload cycles wall : Journal.entry =
     store_footprint = 5; heap_peak = 6; checksum = 7; checks_elided = 8;
     mem_ops_demoted = 9; threads = 1; ctx_switches = 0; races = 0;
     attempts = 1; wall_us = wall }
+
+let test_summary_line_fuel_capped () =
+  let j = Journal.create ~target:"table1" () in
+  let add outcome status =
+    Journal.record j
+      { (entry "w" 10 0) with
+        Journal.outcome = M.Trap.outcome_to_string outcome; status }
+  in
+  add (M.Trap.Exit 0) 0;
+  add M.Trap.Fuel_exhausted 1;
+  add (M.Trap.Trapped M.Trap.Cookie_smashed) 1;
+  Alcotest.(check string) "capped reported apart from failed"
+    "[journal] table1: 3 runs (1 failed, 1 fuel-capped), 30 model cycles, \
+     0.0 ms wall, jobs=1"
+    (Journal.summary_line j);
+  Alcotest.(check int) "record still counts the capped run as a failure" 2
+    (List.length (Journal.failures j))
 
 let test_journal_to_record () =
   let j = Journal.create ~jobs:2 ~target:"table1" () in
@@ -366,9 +474,20 @@ let () =
             test_gate_wall_clock;
           Alcotest.test_case "tolerance overrides / ungated fields" `Quick
             test_gate_tolerance_override ] );
+      ( "keyed gate",
+        [ Alcotest.test_case "mixed schemas, configs, seeds" `Quick
+            test_gate_since_mixed_keys;
+          Alcotest.test_case "no earlier record seeds" `Quick
+            test_gate_since_seeds_baseline;
+          Alcotest.test_case "schema bump re-baselines" `Quick
+            test_gate_since_schema_bump;
+          Alcotest.test_case "gated across commits" `Quick
+            test_gate_since_across_commits ] );
       ( "journal",
         [ Alcotest.test_case "aggregate projection" `Quick
-            test_journal_to_record ] );
+            test_journal_to_record;
+          Alcotest.test_case "summary separates fuel-capped" `Quick
+            test_summary_line_fuel_capped ] );
       ( "floats",
         [ Alcotest.test_case "pinned dialect" `Quick test_float_str_pinned;
           Alcotest.test_case "seeded stability" `Quick
