@@ -25,7 +25,8 @@ let create () =
   { cycles = 0; mem_ops = 0; instrumented_mem_ops = 0; safe_store_ops = 0;
     calls = 0; unsafe_frames = 0; ctx_switches = 0 }
 
-let[@inline] add t n = t.cycles <- t.cycles + n
+(* The interpreter charges through its own inlined helpers
+   ([Interp.charge] and friends). *)
 
 (* ---- Base instruction costs ---- *)
 
@@ -102,14 +103,3 @@ let atomic_cost = 6
 (* Per-word cost of the safe-store-aware memcpy/memset variants: each word
    must probe the safe pointer store in addition to the copy itself. *)
 let cpi_memop_per_word store_impl = Safestore.lookup_cost store_impl
-
-let[@inline] charge_mem t ~instrumented n =
-  t.mem_ops <- t.mem_ops + 1;
-  if instrumented then t.instrumented_mem_ops <- t.instrumented_mem_ops + 1;
-  add t n
-
-let[@inline] charge_check t = add t check_cost
-
-let[@inline] charge_safe_store t impl =
-  t.safe_store_ops <- t.safe_store_ops + 1;
-  add t (Safestore.lookup_cost impl + meta_move)

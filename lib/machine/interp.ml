@@ -12,11 +12,16 @@
     This interpreter executes the *prepared* (decode-once) form of the
     program built by [Loader.load] — see [Levee_ir.Prepared]. Operands are
     resolved, alloca placements and call return addresses are baked in, and
-    switch dispatch is table-driven, so the hot loop performs no hashtable
-    lookups. The deterministic cost model is charged exactly as it was by
-    the decode-per-step interpreter: simulated cycles, instruction counts,
-    footprints and checksums are byte-identical; only host wall-clock
-    changes (asserted by the golden-determinism regression test). *)
+    switch dispatch is table-driven. The host-side state is kept flat so
+    that straight-line code, calls and returns allocate nothing: register
+    metadata is unboxed ([Meta.words] ints per register, read and written
+    in place), frames are pooled per call depth, the safe-stack metadata
+    shadow is a paged int array ([Shadow]) and memory pages sit behind a
+    multi-slot cache ([Mem]). Hashtables are probed only on page-cache
+    misses, indirect-call target decoding, heap temporal checks and the
+    cold intrinsics. None of this is visible to the cost model: simulated
+    cycles, instruction counts, footprints and checksums are unchanged
+    (asserted by the golden-determinism regression test). *)
 
 module Ty = Levee_ir.Ty
 module I = Levee_ir.Instr
@@ -24,25 +29,26 @@ module Pr = Levee_ir.Prepared
 module Prog = Levee_ir.Prog
 open Trap
 
-type meta = Meta.t = { lower : int; upper : int; tid : int; kind : Safestore.kind }
-
-let meta_of_entry = Meta.of_entry
-let entry_of_meta = Meta.to_entry
-
+(* A call frame. Frames are pooled: each thread owns one record per call
+   depth, re-initialised by every push at that depth, so every field is
+   mutable. The register file holds [fr_pf.nregs] live registers; the
+   arrays may be longer (sized for the largest function seen at this
+   depth). [rm] holds [Meta.words] ints per register — lower, upper, tid
+   and a kind code, [Meta.k_none] meaning no metadata. *)
 type frame = {
-  fr_pf : Loader.pmeta Pr.func;
-  regs : int array;
-  rmeta : meta option array;
+  mutable fr_pf : Loader.pmeta Pr.func;
+  mutable regs : int array;
+  mutable rm : int array;
   mutable block : int;
   mutable blk : Loader.pmeta Pr.block;   (* cache of fr_pf.blocks.(block) *)
   mutable ip : int;
-  base_r : int;
-  base_s : int;
-  ret_dst : int option;        (* caller register receiving the result *)
-  pushed_ret : int;            (* legitimate return target *)
-  cookie_value : int;
-  penalize_stack : bool;       (* hot frame exceeds the cache-friendly size *)
-  layout : Loader.frame_layout;
+  mutable base_r : int;
+  mutable base_s : int;
+  mutable ret_dst : int;       (* caller register receiving the result; -1 = none *)
+  mutable pushed_ret : int;    (* legitimate return target *)
+  mutable cookie_value : int;
+  mutable penalize_stack : bool;  (* hot frame exceeds the cache-friendly size *)
+  mutable layout : Loader.frame_layout;
 }
 
 type jmp_ctx = {
@@ -66,9 +72,9 @@ type thread_status =
 type thread = {
   t_id : int;
   mutable status : thread_status;
-  mutable frames : frame list;
-  mutable depth : int;         (* List.length frames, maintained incrementally *)
-  mutable cur : frame;         (* cached head of [frames] *)
+  mutable frames : frame array;  (* frame pool; [frames.(0 .. depth-1)] are live *)
+  mutable depth : int;
+  mutable cur : frame;         (* [frames.(depth-1)], cached *)
   mutable sp_r : int;
   mutable sp_s : int;
   stack_floor : int;           (* regular-stack overflow floor (slid) *)
@@ -97,13 +103,14 @@ type t = {
   store : Safestore.t;
   heap : Heap.t;
   cost : Cost.t;
+  lookup_cost : int;           (* Safestore.lookup_cost of cfg.store_impl *)
   mutable running : thread;    (* the thread the hot loop is executing *)
   mutable threads : thread array;  (* index = tid; slot 0 = the main thread *)
   mutable nthreads : int;
   (* Deterministic scheduling: [mt] flips on at the first thread_spawn;
-     until then the hot loop pays one boolean test per step and the
-     machine is observationally identical to the single-threaded one.
-     [sched_left] counts instructions down to the next preemption. *)
+     until then the machine is observationally identical to the
+     single-threaded one. [sched_left] counts instructions down to the
+     next preemption. *)
   sched : Sched.t;
   mutable mt : bool;
   mutable sched_left : int;
@@ -111,12 +118,18 @@ type t = {
   mutexes : (int, int) Hashtbl.t;  (* mutex address -> owner tid *)
   race : Race.t;
   mutable race_mute : bool;    (* suppress tracking (atomics, fault injection) *)
-  fuel0 : int;                 (* initial fuel; instrs executed = fuel0 - fuel *)
+  fuel0 : int;                 (* initial fuel *)
   input : int array;
   mutable input_pos : int;
   out : Buffer.t;
   mutable checksum : int;
+  (* Instructions executed = [fuel0 - (fuel + budget)]. The hot loop
+     counts [budget] down: the steps of a window between two events (fuel
+     exhausted, a fault due, a preemption due) need no other test, so
+     [begin_window] charges a window's steps to [fuel] and [sched_left] up
+     front; [flush_window] hands back what is left of it. *)
   mutable fuel : int;
+  mutable budget : int;
   jmp_ctxs : (int, jmp_ctx) Hashtbl.t;
   mutable next_jmp : int;
   (* Based-on metadata shadow for safe-region addresses: the safe stack is
@@ -124,11 +137,12 @@ type t = {
      way register-resident values do after mem2reg. This is what lets the
      instrumentation passes skip proven-safe local slots, mirroring the
      paper's point that compiler optimizations remove many inserted
-     checks (Section 3.2.2). *)
-  safe_meta : (int, meta) Hashtbl.t;
-  (* Scheduled fault injection: [faults] is sorted by step; the hot loop
-     pays one integer compare against [next_fault_fuel] (the fuel value
-     at which the next fault fires; min_int = none pending). *)
+     checks (Section 3.2.2). Written by regular stores and read by
+     regular loads of safe-region addresses only. *)
+  shadow : Shadow.t;
+  (* Scheduled fault injection: [faults] is sorted by step;
+     [next_fault_fuel] is the fuel value at which the next fault fires
+     (min_int = none pending). *)
   faults : (int * fault) array;
   mutable fault_pos : int;
   mutable next_fault_fuel : int;
@@ -169,17 +183,21 @@ let dummy_pf : Loader.pmeta Pr.func =
   { Pr.findex = -1; fname = "<none>"; nregs = 0; nparams = 0; blocks = [||];
     addrs = [||]; entry_addr = 0 }
 
-let dummy_frame () =
-  { fr_pf = dummy_pf; regs = [||]; rmeta = [||]; block = 0;
-    blk = { Pr.instrs = [||]; term = Pr.Unreachable }; ip = 0;
-    base_r = 0; base_s = 0; ret_dst = None; pushed_ret = 0; cookie_value = 0;
-    penalize_stack = false; layout = dummy_layout }
+let dummy_blk : Loader.pmeta Pr.block = { Pr.instrs = [||]; term = Pr.Unreachable }
+
+let blank_frame () =
+  { fr_pf = dummy_pf; regs = [||]; rm = [||]; block = 0; blk = dummy_blk;
+    ip = 0; base_r = 0; base_s = 0; ret_dst = -1; pushed_ret = 0;
+    cookie_value = 0; penalize_stack = false; layout = dummy_layout }
+
+let initial_pool = 8
 
 (* A fresh thread over its carved stack pair. Thread 0's windows are the
    historical single-thread stacks, so single-threaded runs are unchanged. *)
 let fresh_thread ~slide tid =
-  { t_id = tid; status = Runnable; frames = []; depth = 0;
-    cur = dummy_frame ();
+  let frames = Array.init initial_pool (fun _ -> blank_frame ()) in
+  { t_id = tid; status = Runnable; frames; depth = 0;
+    cur = frames.(0);
     sp_r = Layout.thread_stack_top tid + slide;
     sp_s = Layout.thread_safe_stack_top tid + slide;
     stack_floor = Layout.thread_stack_floor tid + slide;
@@ -188,20 +206,182 @@ let fresh_thread ~slide tid =
     safe_win_hi = Layout.thread_safe_stack_top tid + slide;
     locks = [] }
 
+(* ---------- Operands and the unboxed register file ---------- *)
+
+(* Register [r]'s metadata words start at [rm.(r lsl 2)]. *)
+let () = assert (Meta.words = 4)
+
+(* Operands are pre-resolved: a register read or a constant, no lookups.
+   Register indices are validated against [nregs] when the function is
+   prepared, and the register arrays are at least [nregs] long, so the
+   register files are accessed unchecked. The metadata projections read
+   a register's words in place; only a [Const] operand carries a boxed
+   [Meta.t], pre-built by the loader. *)
+let[@inline] eval_v fr (o : Loader.pmeta Pr.operand) =
+  match o with
+  | Pr.Reg r -> Array.unsafe_get fr.regs r
+  | Pr.Const (v, _) -> v
+
+let[@inline] op_kind fr (o : Loader.pmeta Pr.operand) =
+  match o with
+  | Pr.Reg r -> Array.unsafe_get fr.rm ((r lsl 2) + Meta.w_kind)
+  | Pr.Const (_, None) -> Meta.k_none
+  | Pr.Const (_, Some m) -> Meta.code_of_kind m.Meta.kind
+
+(* The bound and tid projections are meaningful only when [op_kind] is not
+   [Meta.k_none]. *)
+let[@inline] op_lower fr (o : Loader.pmeta Pr.operand) =
+  match o with
+  | Pr.Reg r -> Array.unsafe_get fr.rm ((r lsl 2) + Meta.w_lower)
+  | Pr.Const (_, Some m) -> m.Meta.lower
+  | Pr.Const (_, None) -> 0
+
+let[@inline] op_upper fr (o : Loader.pmeta Pr.operand) =
+  match o with
+  | Pr.Reg r -> Array.unsafe_get fr.rm ((r lsl 2) + Meta.w_upper)
+  | Pr.Const (_, Some m) -> m.Meta.upper
+  | Pr.Const (_, None) -> 0
+
+let[@inline] op_tid fr (o : Loader.pmeta Pr.operand) =
+  match o with
+  | Pr.Reg r -> Array.unsafe_get fr.rm ((r lsl 2) + Meta.w_tid)
+  | Pr.Const (_, Some m) -> m.Meta.tid
+  | Pr.Const (_, None) -> 0
+
+(* The provenance of accesses that have no operand (fault injection). *)
+let no_prov : Loader.pmeta Pr.operand = Pr.Const (0, None)
+
+let[@inline] set_reg fr dst v = Array.unsafe_set fr.regs dst v
+
+let[@inline] clear_meta fr dst =
+  Array.unsafe_set fr.rm ((dst lsl 2) + Meta.w_kind) Meta.k_none
+
+let[@inline] set_meta fr dst ~lower ~upper ~tid ~kind =
+  let b = dst lsl 2 in
+  let rm = fr.rm in
+  Array.unsafe_set rm (b + Meta.w_lower) lower;
+  Array.unsafe_set rm (b + Meta.w_upper) upper;
+  Array.unsafe_set rm (b + Meta.w_tid) tid;
+  Array.unsafe_set rm (b + Meta.w_kind) kind
+
+(* Copy operand [o]'s metadata (read in frame [sfr]) into register [dst]
+   of frame [dfr]; the frames differ for argument passing and returns. *)
+let[@inline] copy_meta dfr dst sfr (o : Loader.pmeta Pr.operand) =
+  match o with
+  | Pr.Reg r ->
+    let s = sfr.rm and d = dfr.rm in
+    let sb = r lsl 2 and db = dst lsl 2 in
+    Array.unsafe_set d db (Array.unsafe_get s sb);
+    Array.unsafe_set d (db + 1) (Array.unsafe_get s (sb + 1));
+    Array.unsafe_set d (db + 2) (Array.unsafe_get s (sb + 2));
+    Array.unsafe_set d (db + 3) (Array.unsafe_get s (sb + 3))
+  | Pr.Const (_, None) -> clear_meta dfr dst
+  | Pr.Const (_, Some m) ->
+    set_meta dfr dst ~lower:m.Meta.lower ~upper:m.Meta.upper ~tid:m.Meta.tid
+      ~kind:(Meta.code_of_kind m.Meta.kind)
+
+(* Safe-store entries without valid metadata read back as none. *)
+let set_meta_of_entry fr dst (e : Safestore.entry) =
+  match e.Safestore.kind with
+  | Safestore.Invalid -> clear_meta fr dst
+  | k ->
+    set_meta fr dst ~lower:e.Safestore.lower ~upper:e.Safestore.upper
+      ~tid:e.Safestore.tid ~kind:(Meta.code_of_kind k)
+
+(* The safe-store entry for value [v] carrying operand [o]'s metadata,
+   which the caller has checked is present. *)
+let entry_of_op fr (o : Loader.pmeta Pr.operand) v =
+  { Safestore.value = v; lower = op_lower fr o; upper = op_upper fr o;
+    tid = op_tid fr o; kind = Meta.kind_of_code (op_kind fr o) }
+
+(* ---------- Cost accounting ---------- *)
+
+(* The charging helpers live here rather than in [Cost]: the hot loop
+   charges on every instruction, and a call into another module of the
+   library is never inlined under dune's default (dev) profile, which
+   compiles each module [-opaque] — it would be an indirect call. *)
+let[@inline] charge st n =
+  let c = st.cost in
+  c.Cost.cycles <- c.Cost.cycles + n
+
+let[@inline] charge_mem st ~instrumented n =
+  let c = st.cost in
+  c.Cost.mem_ops <- c.Cost.mem_ops + 1;
+  if instrumented then
+    c.Cost.instrumented_mem_ops <- c.Cost.instrumented_mem_ops + 1;
+  c.Cost.cycles <- c.Cost.cycles + n
+
+let[@inline] charge_check st = charge st Cost.check_cost
+
+(* A safe-store access: one lookup in the configured organisation plus the
+   metadata move. *)
+let[@inline] charge_safe_store st =
+  let c = st.cost in
+  c.Cost.safe_store_ops <- c.Cost.safe_store_ops + 1;
+  c.Cost.cycles <- c.Cost.cycles + st.lookup_cost + Cost.meta_move
+
+(* ---------- Page caches, hit path inlined ---------- *)
+
+(* [Mem.read]/[Mem.write] and [Shadow.page] with the page-cache hit
+   inlined: like the cost helpers, a call into those modules would be an
+   indirect call on every access. A hit is checked against the slot's tag,
+   so the slot functions below (copies of [Mem]'s and [Shadow]'s) affect
+   only speed, never what an access sees. *)
+let mem_bits = Mem.page_bits
+let mem_mask = Mem.page_mask
+let mem_slot_mask = Mem.cache_slots - 1
+
+let[@inline] mem_slot idx =
+  (idx lxor (idx lsr 7) lxor (idx lsr 13) lxor (idx lsr 17)) land mem_slot_mask
+
+let[@inline] mem_read st addr =
+  let m = st.mem in
+  let idx = addr lsr mem_bits in
+  let s = mem_slot idx in
+  if Array.unsafe_get m.Mem.tags s = idx then
+    Array.unsafe_get (Array.unsafe_get m.Mem.lines s) (addr land mem_mask)
+  else Mem.read m addr
+
+let[@inline] mem_write st addr v =
+  let m = st.mem in
+  let idx = addr lsr mem_bits in
+  let s = mem_slot idx in
+  if Array.unsafe_get m.Mem.tags s = idx then
+    Array.unsafe_set (Array.unsafe_get m.Mem.lines s) (addr land mem_mask) v
+  else Mem.write m addr v
+
+let shadow_bits = Shadow.page_bits
+let shadow_addr_mask = Shadow.page_addrs - 1
+let shadow_slot_mask = Shadow.cache_slots - 1
+
+(* The shadow page holding [a]'s metadata words (read-only
+   [Shadow.absent] when unmapped), and the index of [a]'s first word in
+   it; the shadow shares the register file's [Meta.words] layout. *)
+let[@inline] shadow_page st a =
+  let sh = st.shadow in
+  let idx = a lsr shadow_bits in
+  let s = idx land shadow_slot_mask in
+  if Array.unsafe_get sh.Shadow.tags s = idx then
+    Array.unsafe_get sh.Shadow.lines s
+  else Shadow.page sh a
+
+let[@inline] shadow_offset a = (a land shadow_addr_mask) lsl 2
+
 (* ---------- Memory access with isolation ---------- *)
 
 let charge_sfi st =
-  if st.cfg.Config.isolation = Config.Sfi then Cost.add st.cost Cost.sfi_mask
+  if st.cfg.Config.isolation = Config.Sfi then charge st Cost.sfi_mask
 
 (* A plain access may touch the safe region only with valid in-bounds
    provenance (a proven-safe safe-stack access). Anything else models an
    attacker-influenced access: blocked by segments / guaranteed-miss under
    leak-proof info hiding / masked by SFI — uniformly reported as an
-   isolation violation. *)
-let check_safe_access addr meta ~size =
-  match meta with
-  | Some m when m.kind = Safestore.Data && addr >= m.lower && addr + size <= m.upper -> ()
-  | _ -> stop (Trapped Isolation_violation)
+   isolation violation. The provenance is the address operand [o]'s
+   metadata, read in frame [fr]. *)
+let check_safe_access fr o addr ~size =
+  if not (op_kind fr o = Meta.k_data && addr >= op_lower fr o
+          && addr + size <= op_upper fr o)
+  then stop (Trapped Isolation_violation)
 
 (* SFI isolation protects the *integrity* of the safe region: only writes
    need masking (reads cannot corrupt, and the safe region's secrecy is the
@@ -254,104 +434,78 @@ let[@inline] race_meta st a ~write =
 (* The region classification is fused into the accessors: the regions are
    disjoint address ranges and only Null, Safe and Code need any action, so
    the overwhelmingly common regular-region access (globals / heap / unsafe
-   stack) costs two compares before touching memory. *)
-let plain_read st addr meta =
+   stack) costs two compares before touching memory. [fr]/[o] give the
+   address's provenance for the safe-region check. *)
+let plain_read st addr fr o =
   race_data st addr ~write:false;
   let a = addr - st.slide in
   if a < Layout.safe_base then begin
     if a < Layout.null_guard then stop (Crash "null-page access");
-    Mem.read st.mem addr
+    mem_read st addr
   end
   else if a < Layout.safe_end then begin
-    check_safe_access addr meta ~size:1;
-    Mem.read st.mem addr
+    check_safe_access fr o addr ~size:1;
+    mem_read st addr
   end
   else if a >= Layout.code_base && a < Layout.code_end then 0xC0DE
-  else Mem.read st.mem addr
+  else mem_read st addr
 
-let plain_write st addr meta v =
+let plain_write st addr fr o v =
   race_data st addr ~write:true;
   let a = addr - st.slide in
   if a < Layout.safe_base then begin
     if a < Layout.null_guard then stop (Crash "null-page access");
     charge_sfi st;
-    Mem.write st.mem addr v
+    mem_write st addr v
   end
   else if a < Layout.safe_end then begin
-    check_safe_access addr meta ~size:1;
-    Mem.write st.mem addr v
+    check_safe_access fr o addr ~size:1;
+    mem_write st addr v
   end
   else begin
     if a >= Layout.code_base && a < Layout.code_end then
       stop (Crash "write to code segment");
     charge_sfi st;
-    Mem.write st.mem addr v
-  end
-
-(* Writes that may hit the safe stack carry metadata through the shadow
-   (see [safe_meta] above); the matching read path is inlined in
-   [do_load]'s [Regular] arm to keep it allocation-free. *)
-let write_with_shadow st addr meta v vmeta =
-  plain_write st addr meta v;
-  if Layout.in_safe_region_s st.slide addr then begin
-    match vmeta with
-    | Some m -> Hashtbl.replace st.safe_meta addr m
-    | None -> Hashtbl.remove st.safe_meta addr
+    mem_write st addr v
   end
 
 (* ---------- Metadata checks (the CPI runtime checks) ---------- *)
 
-let check_deref st addr meta ~size ~what =
-  Cost.charge_check st.cost;
-  match meta with
-  | None -> stop (Trapped (Missing_metadata what))
-  | Some m ->
-    (match m.kind with
-     | Safestore.Invalid -> stop (Trapped (Bounds_violation "invalid metadata"))
-     | Safestore.Code ->
-       (* Dereferencing a code pointer as data is never safe. *)
-       stop (Trapped (Bounds_violation "code pointer used as data"))
-     | Safestore.Data ->
-       if Heap.tid_dead st.heap m.tid then stop (Trapped Temporal_violation);
-       if addr < m.lower || addr + size > m.upper then
-         stop (Trapped (Bounds_violation what)))
-
-(* ---------- Operand evaluation ---------- *)
-
-(* Operands are pre-resolved: a register read or a constant, no lookups.
-   The value and metadata projections are split so the hot loop never
-   allocates a pair per operand (no flambda to elide it). *)
-let eval fr (o : Loader.pmeta Pr.operand) : int * meta option =
-  match o with
-  | Pr.Reg r -> (fr.regs.(r), fr.rmeta.(r))
-  | Pr.Const (v, m) -> (v, m)
-
-(* Register indices are validated against [nregs] when the function is
-   prepared, so the register files are accessed unchecked. *)
-let[@inline] eval_v fr (o : Loader.pmeta Pr.operand) =
-  match o with
-  | Pr.Reg r -> Array.unsafe_get fr.regs r
-  | Pr.Const (v, _) -> v
-
-let[@inline] eval_m fr (o : Loader.pmeta Pr.operand) =
-  match o with
-  | Pr.Reg r -> Array.unsafe_get fr.rmeta r
-  | Pr.Const (_, m) -> m
-
-let[@inline] set_reg fr dst v m =
-  Array.unsafe_set fr.regs dst v;
-  Array.unsafe_set fr.rmeta dst m
+let check_deref st addr fr o ~size ~what =
+  charge_check st;
+  let k = op_kind fr o in
+  if k <> Meta.k_data then begin
+    if k = Meta.k_none then stop (Trapped (Missing_metadata what))
+    else if k = Meta.k_code then
+      (* Dereferencing a code pointer as data is never safe. *)
+      stop (Trapped (Bounds_violation "code pointer used as data"))
+    else stop (Trapped (Bounds_violation "invalid metadata"))
+  end;
+  let tid = op_tid fr o in
+  (* Static objects (tid 0) never die; skip the call for them. *)
+  if tid <> 0 && Heap.tid_dead st.heap tid then stop (Trapped Temporal_violation);
+  if addr < op_lower fr o || addr + size > op_upper fr o then
+    stop (Trapped (Bounds_violation what))
 
 (* ---------- Frame management ---------- *)
 
 let cookie_secret base = 0x600DC00C lxor (base * 31)
 
-(* Push a frame with zeroed registers onto thread [th]; the caller fills
-   the argument registers afterwards (before any callee instruction runs).
-   [th] is the running thread everywhere except thread_spawn, which pushes
-   the outermost frame of the thread it creates. *)
-let push_frame_empty st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret
-    ~entry =
+let grow_pool th =
+  let n = Array.length th.frames in
+  th.frames <-
+    Array.init (2 * n) (fun i -> if i < n then th.frames.(i) else blank_frame ())
+
+(* Push a frame onto thread [th], entering [pf] at ([block], [ip]). The
+   frame is the pooled one at the new depth: its registers are zeroed with
+   no metadata (what a function entered by diversion sees), growing the
+   register file only when [pf] needs more registers than any earlier
+   function at this depth. The caller fills the argument registers
+   afterwards, before any callee instruction runs. [th] is the running
+   thread everywhere except thread_spawn, which pushes the outermost frame
+   of the thread it creates. [ret_dst] is -1 when the result is dropped. *)
+let push_frame st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret ~block
+    ~ip =
   let layout = st.image.Loader.p_layouts.(pf.Pr.findex) in
   let base_r = th.sp_r in
   let base_s = th.sp_s in
@@ -359,13 +513,11 @@ let push_frame_empty st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret
   th.sp_s <- th.sp_s - layout.Loader.fl_safe_size;
   if th.sp_r < th.stack_floor then
     stop (Crash "regular stack overflow");
-  let regs = Array.make (max pf.Pr.nregs 1) 0 in
-  let rmeta = Array.make (max pf.Pr.nregs 1) None in
   let cookie_value = cookie_secret base_r in
   (match layout.Loader.fl_cookie_offset with
    | Some off ->
-     Mem.write st.mem (base_r - off) cookie_value;
-     Cost.add st.cost Cost.cookie_cost
+     mem_write st (base_r - off) cookie_value;
+     charge st Cost.cookie_cost
    | None -> ());
   (* Write the return address into its slot (regular or safe stack).
      cpi-crypt has no safe stack: the slot stays in the regular region but
@@ -373,18 +525,18 @@ let push_frame_empty st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret
   let ret_slot_base = if layout.Loader.fl_ret_on_safe then base_s else base_r in
   let slot_ret =
     if st.cfg.Config.crypt_ptrs then begin
-      Cost.add st.cost Cost.crypt_cost;
+      charge st Cost.crypt_cost;
       Ptrcipher.encrypt st.key pushed_ret
     end
     else pushed_ret
   in
-  Mem.write st.mem (ret_slot_base - layout.Loader.fl_ret_offset) slot_ret;
+  mem_write st (ret_slot_base - layout.Loader.fl_ret_offset) slot_ret;
   (* Instrumentation costs of the call itself. *)
   st.cost.Cost.calls <- st.cost.Cost.calls + 1;
-  Cost.add st.cost Cost.call_base;
+  charge st Cost.call_base;
   if st.cfg.Config.safe_stack && layout.Loader.fl_has_unsafe then begin
     st.cost.Cost.unsafe_frames <- st.cost.Cost.unsafe_frames + 1;
-    Cost.add st.cost Cost.unsafe_frame_cost
+    charge st Cost.unsafe_frame_cost
   end;
   (* Locality model: a large hot frame area costs extra per call; the safe
      stack keeps the hot area small by moving buffers away. *)
@@ -392,46 +544,65 @@ let push_frame_empty st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret
     if st.cfg.Config.safe_stack then layout.Loader.fl_safe_size
     else layout.Loader.fl_regular_size
   in
-  let penalize_stack = hot_resident > Cost.hot_frame_threshold in
-  let block, ip = entry in
-  let fr =
-    { fr_pf = pf; regs; rmeta; block; blk = pf.Pr.blocks.(block); ip;
-      base_r; base_s; ret_dst; pushed_ret; cookie_value; penalize_stack;
-      layout }
-  in
-  th.frames <- fr :: th.frames;
+  if th.depth = Array.length th.frames then grow_pool th;
+  let fr = Array.unsafe_get th.frames th.depth in
+  let nregs = pf.Pr.nregs in
+  if Array.length fr.regs < nregs then begin
+    fr.regs <- Array.make nregs 0;
+    fr.rm <- Array.make (nregs lsl 2) 0
+  end
+  else begin
+    let regs = fr.regs and rm = fr.rm in
+    for r = 0 to nregs - 1 do
+      Array.unsafe_set regs r 0;
+      Array.unsafe_set rm ((r lsl 2) + Meta.w_kind) Meta.k_none
+    done
+  end;
+  fr.fr_pf <- pf;
+  fr.block <- block;
+  fr.blk <- pf.Pr.blocks.(block);
+  fr.ip <- ip;
+  fr.base_r <- base_r;
+  fr.base_s <- base_s;
+  fr.ret_dst <- ret_dst;
+  fr.pushed_ret <- pushed_ret;
+  fr.cookie_value <- cookie_value;
+  fr.penalize_stack <- hot_resident > Cost.hot_frame_threshold;
+  fr.layout <- layout;
   th.depth <- th.depth + 1;
   th.cur <- fr;
   fr
 
-let push_frame st th pf ~args ~ret_dst ~pushed_ret ~entry =
-  let fr = push_frame_empty st th pf ~ret_dst ~pushed_ret ~entry in
-  Array.iteri
-    (fun i (v, m) ->
-      if i < Array.length fr.regs then begin
-        fr.regs.(i) <- v;
-        fr.rmeta.(i) <- m
-      end)
-    args
-
+(* The popped frame stays intact until the next push at its depth. *)
 let pop_frame th =
-  match th.frames with
-  | f :: rest ->
-    th.frames <- rest;
-    th.depth <- th.depth - 1;
-    (match rest with g :: _ -> th.cur <- g | [] -> ());
-    th.sp_r <- f.base_r;
-    th.sp_s <- f.base_s;
-    f
-  | [] -> assert false
+  let d = th.depth - 1 in
+  let f = th.frames.(d) in
+  th.depth <- d;
+  if d > 0 then th.cur <- Array.unsafe_get th.frames (d - 1);
+  th.sp_r <- f.base_r;
+  th.sp_s <- f.base_s;
+  f
 
 (* ---------- Scheduling ---------- *)
+
+(* Make [fuel] and [sched_left] exact mid-window, before anything resets
+   them; the next step then starts a new window. A window charges
+   [sched_left] only if the machine was multithreaded when it began, and
+   [thread_spawn] flushes before turning [mt] on. *)
+let flush_window st =
+  let b = st.budget in
+  if b > 0 then begin
+    st.fuel <- st.fuel + b;
+    if st.mt then st.sched_left <- st.sched_left + b;
+    st.budget <- 0
+  end
 
 (* Move to the next runnable thread (or stay). Called on quantum expiry
    and whenever the running thread blocks or finishes; only ever invoked
    once the machine is multithreaded, so single-threaded runs draw nothing
    from the scheduler streams. *)
 let reschedule st =
+  flush_window st;
   let cur_id = st.running.t_id in
   let runnable i =
     match st.threads.(i).status with Runnable -> true | _ -> false
@@ -442,7 +613,7 @@ let reschedule st =
     st.sched_left <- Sched.quantum st.sched;
     if tid <> cur_id then begin
       st.cost.Cost.ctx_switches <- st.cost.Cost.ctx_switches + 1;
-      Cost.add st.cost Cost.ctx_switch;
+      charge st Cost.ctx_switch;
       st.running <- st.threads.(tid)
     end
 
@@ -478,120 +649,136 @@ let divert st target ~via =
     in
     if Loader.is_function_entry st.image target then
       (* Jump to a function entry: executes it with garbage arguments. *)
-      push_frame st st.running pf ~args:[||] ~ret_dst:None
-        ~pushed_ret:exit_sentinel ~entry:(0, 0)
+      ignore
+        (push_frame st st.running pf ~ret_dst:(-1) ~pushed_ret:exit_sentinel
+           ~block:0 ~ip:0)
     else
       (* Jump into the middle of a function: a gadget; registers hold
          garbage (zeroes). *)
-      push_frame st st.running pf ~args:[||] ~ret_dst:None
-        ~pushed_ret:exit_sentinel
-        ~entry:(cp.Loader.cp_block, cp.Loader.cp_ip)
+      ignore
+        (push_frame st st.running pf ~ret_dst:(-1) ~pushed_ret:exit_sentinel
+           ~block:cp.Loader.cp_block ~ip:cp.Loader.cp_ip)
   | None ->
     if Layout.in_code_s st.slide target then
       stop (Crash "jump into code padding")
     else if st.cfg.Config.dep then stop (Trapped Exec_violation)
-    else if Mem.read st.mem target = Layout.shellcode_magic then
+    else if mem_read st target = Layout.shellcode_magic then
       stop (Hijacked "shellcode executed")
     else stop (Crash "jump to non-code address")
 
 (* ---------- Calls and returns ---------- *)
 
-(* [ret_addr] was resolved at load time: the code address of the
-   instruction after the call site. *)
 (* Membership probe for the cfi-type per-site target set (sorted entry
    addresses, typically tiny). *)
 let in_cfi_set (set : int array) v =
   let n = Array.length set in
-  let rec go i = i < n && (set.(i) = v || (set.(i) < v && go (i + 1))) in
-  go 0
+  let i = ref 0 in
+  while !i < n && set.(!i) < v do incr i done;
+  !i < n && set.(!i) = v
 
+(* Push [pf]'s frame and pass the arguments. Operand evaluation is pure,
+   so the arguments are read out of the caller's (still live) registers
+   directly into the callee's; the callee frame is the pooled one a depth
+   below [fr], never [fr] itself. *)
+let invoke st fr pf dst args ret_addr =
+  let nf =
+    push_frame st st.running pf
+      ~ret_dst:(match dst with Some d -> d | None -> -1)
+      ~pushed_ret:ret_addr ~block:0 ~ip:0
+  in
+  let nargs = Array.length args and nregs = pf.Pr.nregs in
+  for i = 0 to (if nargs < nregs then nargs else nregs) - 1 do
+    let o = Array.unsafe_get args i in
+    Array.unsafe_set nf.regs i (eval_v fr o);
+    copy_meta nf i fr o
+  done
+
+(* [ret_addr] was resolved at load time: the code address of the
+   instruction after the call site. *)
 let do_call st fr dst callee args cfi_checked cfi_set ret_addr =
-  Cost.add st.cost (Array.length args);
+  charge st (Array.length args);
   (* Advance the caller past the call before pushing the callee, so the
      frame resumes at the next instruction on return. *)
   fr.ip <- fr.ip + 1;
-  let invoke pf =
-    (* Operand evaluation is pure, so the arguments can be read out of the
-       caller's (still live) registers directly into the callee's. *)
-    let nf = push_frame_empty st st.running pf ~ret_dst:dst
-        ~pushed_ret:ret_addr ~entry:(0, 0) in
-    let nregs = Array.length nf.regs in
-    for i = 0 to Array.length args - 1 do
-      if i < nregs then begin
-        let o = Array.unsafe_get args i in
-        Array.unsafe_set nf.regs i (eval_v fr o);
-        Array.unsafe_set nf.rmeta i (eval_m fr o)
-      end
-    done
-  in
   match callee with
-  | Pr.Direct idx -> invoke (pf_of_index st idx)
+  | Pr.Direct idx -> invoke st fr (pf_of_index st idx) dst args ret_addr
   | Pr.Indirect o ->
-    let v, m = eval fr o in
+    let v = eval_v fr o in
     if st.cfg.Config.enforce_code_meta then begin
       (* CPI/CPS: only values with genuine code-pointer provenance may be
          indirect-call targets. *)
-      match m with
-      | Some { kind = Safestore.Code; _ } ->
-        (match Hashtbl.find_opt st.image.Loader.entry_findex v with
-         | Some idx -> invoke (pf_of_index st idx)
-         | None -> stop (Crash "code pointer does not decode"))
-      | Some _ | None -> stop (Trapped Invalid_code_pointer)
+      if op_kind fr o <> Meta.k_code then stop (Trapped Invalid_code_pointer);
+      match Hashtbl.find st.image.Loader.entry_findex v with
+      | idx -> invoke st fr (pf_of_index st idx) dst args ret_addr
+      | exception Not_found -> stop (Crash "code pointer does not decode")
     end
     else begin
       if st.cfg.Config.cfi_calls && cfi_checked then begin
-        Cost.add st.cost Cost.cfi_cost;
+        charge st Cost.cfi_cost;
         if not (Loader.is_function_entry st.image v) then
           stop (Trapped (Cfi_violation "indirect call target not a function"));
         (* cfi-type: the target must also lie in this call site's
            per-signature set, not just be some function entry. *)
         (match cfi_set with
          | Some set ->
-           Cost.add st.cost Cost.cfi_set_cost;
+           charge st Cost.cfi_set_cost;
            if not (in_cfi_set set v) then
              stop
                (Trapped (Cfi_violation "indirect call target outside type set"))
          | None -> ())
       end;
-      match Hashtbl.find_opt st.image.Loader.entry_findex v with
-      | Some idx -> invoke (pf_of_index st idx)
-      | None -> divert st v ~via:`Call
+      match Hashtbl.find st.image.Loader.entry_findex v with
+      | idx -> invoke st fr (pf_of_index st idx) dst args ret_addr
+      | exception Not_found -> divert st v ~via:`Call
     end
 
-let do_ret st rv rm =
-  Cost.add st.cost Cost.ret_base;
+(* Return from the running thread's current frame [fr] with the value of
+   [ro] (0 and no metadata for [None]). *)
+let do_ret st fr (ro : Loader.pmeta Pr.operand option) =
+  charge st Cost.ret_base;
   let th = st.running in
-  let fr = th.cur in
   (* Cookie check (epilogue). *)
   (match fr.layout.Loader.fl_cookie_offset with
    | Some off when st.cfg.Config.check_cookies ->
-     if Mem.read st.mem (fr.base_r - off) <> fr.cookie_value then
+     if mem_read st (fr.base_r - off) <> fr.cookie_value then
        stop (Trapped Cookie_smashed)
    | Some _ | None -> ());
   let ret_slot_base =
     if fr.layout.Loader.fl_ret_on_safe then fr.base_s else fr.base_r
   in
-  let stored = Mem.read st.mem (ret_slot_base - fr.layout.Loader.fl_ret_offset) in
+  let stored = mem_read st (ret_slot_base - fr.layout.Loader.fl_ret_offset) in
   (* cpi-crypt: the slot holds ciphertext; a tampered slot decrypts to a
      garbled address and the divert below traps under DEP. *)
   let stored =
     if st.cfg.Config.crypt_ptrs then begin
-      Cost.add st.cost Cost.crypt_cost;
+      charge st Cost.crypt_cost;
       Ptrcipher.decrypt st.key stored
     end
     else stored
   in
-  let popped = pop_frame th in
-  if stored = popped.pushed_ret then begin
-    if stored = exit_sentinel || th.frames = [] then begin
+  (* [fr] is the frame popped here. It stays intact until the next push at
+     its depth, which only [divert] below can make, and [divert] reads
+     nothing from it. *)
+  ignore (pop_frame th);
+  if stored = fr.pushed_ret then begin
+    if stored = exit_sentinel || th.depth = 0 then begin
       (* Outermost return: program exit on the main thread, thread
          termination on a spawned one. *)
+      let rv = match ro with Some o -> eval_v fr o | None -> 0 in
       if th.t_id = 0 then stop (Exit rv) else finish_thread st th rv
     end
     else begin
-      (match popped.ret_dst with
-       | Some dst -> set_reg th.cur dst rv rm
-       | None -> ())
+      let dst = fr.ret_dst in
+      if dst >= 0 then begin
+        let caller = th.cur in
+        match ro with
+        | Some o ->
+          set_reg caller dst (eval_v fr o);
+          copy_meta caller dst fr o
+        | None ->
+          set_reg caller dst 0;
+          clear_meta caller dst
+      end
     end
   end
   else
@@ -614,7 +801,7 @@ let read_cstr st addr maxlen =
   let rec go i =
     if i >= maxlen then ()
     else
-      let w = Mem.read st.mem (addr + i) in
+      let w = mem_read st (addr + i) in
       if w = 0 then ()
       else begin
         Buffer.add_char buf (Char.chr (((w mod 256) + 256) mod 256));
@@ -628,93 +815,107 @@ let checksum_mix cs v =
   let rotated = ((cs lsl 7) lor (cs lsr (62 - 7))) land 0x3FFF_FFFF_FFFF_FFFF in
   (rotated lxor v) land 0x3FFF_FFFF_FFFF_FFFF
 
-(* Bounds check for libc memory functions under full memory safety. *)
-let libc_check st meta addr n what =
-  if st.cfg.Config.check_libc && n > 0 then check_deref st addr meta ~size:n ~what
+(* Bounds check for libc memory functions under full memory safety; the
+   pointer's metadata is operand [o]'s, read in [fr]. *)
+let libc_check st fr o addr n what =
+  if st.cfg.Config.check_libc && n > 0 then check_deref st addr fr o ~size:n ~what
 
-(* [argv] holds the pre-evaluated arguments: one array-indexing per use
-   instead of the old O(args^2) [List.nth] walks. *)
-(* Arguments are evaluated on demand out of the caller's registers; every
-   arm reads its operands before any frame is pushed or popped, so the
-   caller frame is still live at each [v]/[m] use. *)
+(* An intrinsic's result: a plain value with no metadata, written to the
+   running thread's current frame. *)
+let ret_plain st dst value =
+  match dst with
+  | Some d ->
+    let fr = st.running.cur in
+    set_reg fr d value;
+    clear_meta fr d
+  | None -> ()
+
+(* Arguments are evaluated on demand out of the caller's registers
+   ([args.(i)] read in [fr]); every arm reads its operands before any
+   frame is pushed or popped, so the caller frame is still live at each
+   use. *)
 let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
-  let v i = eval_v fr args.(i) in
-  let m i = eval_m fr args.(i) in
-  let ret value meta =
-    match dst with Some d -> set_reg st.running.cur d value meta | None -> ()
-  in
-  Cost.add st.cost Cost.intrin_setup;
+  charge st Cost.intrin_setup;
   match op with
   | I.I_malloc ->
-    let n = v 0 in
+    let n = eval_v fr args.(0) in
     let b = Heap.malloc st.heap n in
-    ret b.Heap.addr
-      (Some { lower = b.Heap.addr; upper = b.Heap.addr + b.Heap.size;
-              tid = b.Heap.tid; kind = Safestore.Data })
+    (match dst with
+     | Some d ->
+       let rf = st.running.cur in
+       set_reg rf d b.Heap.addr;
+       set_meta rf d ~lower:b.Heap.addr ~upper:(b.Heap.addr + b.Heap.size)
+         ~tid:b.Heap.tid ~kind:Meta.k_data
+     | None -> ())
   | I.I_free ->
-    let p = v 0 in
+    let p = eval_v fr args.(0) in
     if p = 0 then () else Heap.free st.heap p
   | I.I_memcpy | I.I_cpi_memcpy ->
-    let d = v 0 and s = v 1 and n = v 2 in
-    libc_check st (m 0) d n "memcpy dst";
-    libc_check st (m 1) s n "memcpy src";
-    Cost.add st.cost (Cost.per_word_libc * max n 0);
+    let d = eval_v fr args.(0) and s = eval_v fr args.(1)
+    and n = eval_v fr args.(2) in
+    libc_check st fr args.(0) d n "memcpy dst";
+    libc_check st fr args.(1) s n "memcpy src";
+    charge st (Cost.per_word_libc * max n 0);
     for i = 0 to n - 1 do
-      let w = plain_read st (s + i) (m 1) in
-      plain_write st (d + i) (m 0) w;
+      let w = plain_read st (s + i) fr args.(1) in
+      plain_write st (d + i) fr args.(0) w;
       if op = I.I_cpi_memcpy then begin
         (* Type-unknown copy: move safe-store entries along with the data
            so protected pointers survive the copy (Section 3.2.2). *)
-        Cost.add st.cost (Cost.cpi_memop_per_word st.cfg.Config.store_impl);
+        charge st (Cost.cpi_memop_per_word st.cfg.Config.store_impl);
         match Safestore.get st.store (s + i) with
         | Some e -> Safestore.set st.store (d + i) e
         | None -> Safestore.clear_at st.store (d + i)
       end
     done
   | I.I_memset | I.I_cpi_memset ->
-    let d = v 0 and x = v 1 and n = v 2 in
-    libc_check st (m 0) d n "memset dst";
-    Cost.add st.cost (Cost.per_word_libc * max n 0);
+    let d = eval_v fr args.(0) and x = eval_v fr args.(1)
+    and n = eval_v fr args.(2) in
+    libc_check st fr args.(0) d n "memset dst";
+    charge st (Cost.per_word_libc * max n 0);
     for i = 0 to n - 1 do
-      plain_write st (d + i) (m 0) x;
+      plain_write st (d + i) fr args.(0) x;
       if op = I.I_cpi_memset then begin
-        Cost.add st.cost (Cost.cpi_memop_per_word st.cfg.Config.store_impl);
+        charge st (Cost.cpi_memop_per_word st.cfg.Config.store_impl);
         Safestore.clear_at st.store (d + i)
       end
     done
   | I.I_strcpy ->
-    let d = v 0 and s = v 1 in
+    let d = eval_v fr args.(0) and s = eval_v fr args.(1) in
     (* classically unbounded: copies until NUL *)
     let rec go i =
-      let w = plain_read st (s + i) (m 1) in
+      let w = plain_read st (s + i) fr args.(1) in
       if st.cfg.Config.check_libc then
-        check_deref st (d + i) (m 0) ~size:1 ~what:"strcpy dst";
-      plain_write st (d + i) (m 0) w;
-      Cost.add st.cost Cost.per_word_libc;
+        check_deref st (d + i) fr args.(0) ~size:1 ~what:"strcpy dst";
+      plain_write st (d + i) fr args.(0) w;
+      charge st Cost.per_word_libc;
       if w <> 0 then go (i + 1)
     in
     go 0
   | I.I_strlen ->
-    let s = v 0 in
-    let rec go i = if plain_read st (s + i) (m 0) = 0 then i else go (i + 1) in
-    let n = go 0 in
-    Cost.add st.cost (Cost.per_word_libc * n);
-    ret n None
-  | I.I_strcmp ->
-    let a = v 0 and b = v 1 in
+    let s = eval_v fr args.(0) in
     let rec go i =
-      let x = plain_read st (a + i) (m 0) and y = plain_read st (b + i) (m 1) in
-      Cost.add st.cost Cost.per_word_libc;
+      if plain_read st (s + i) fr args.(0) = 0 then i else go (i + 1)
+    in
+    let n = go 0 in
+    charge st (Cost.per_word_libc * n);
+    ret_plain st dst n
+  | I.I_strcmp ->
+    let a = eval_v fr args.(0) and b = eval_v fr args.(1) in
+    let rec go i =
+      let x = plain_read st (a + i) fr args.(0)
+      and y = plain_read st (b + i) fr args.(1) in
+      charge st Cost.per_word_libc;
       if x <> y then compare x y
       else if x = 0 then 0
       else go (i + 1)
     in
-    ret (go 0) None
+    ret_plain st dst (go 0)
   | I.I_read_input ->
     (* n >= 0: read up to n words. n < 0: gets() semantics — read words
        until end of input or a newline word (10), which is consumed but
        not stored. *)
-    let d = v 0 and n = v 1 in
+    let d = eval_v fr args.(0) and n = eval_v fr args.(1) in
     let limit = if n < 0 then max_int else n in
     let rec go i =
       if i >= limit then i
@@ -724,27 +925,26 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
         | Some 10 when n < 0 -> i
         | Some w ->
           if st.cfg.Config.check_libc then
-            check_deref st (d + i) (m 0) ~size:1 ~what:"read_input dst";
-          plain_write st (d + i) (m 0) w;
-          Cost.add st.cost Cost.per_word_libc;
+            check_deref st (d + i) fr args.(0) ~size:1 ~what:"read_input dst";
+          plain_write st (d + i) fr args.(0) w;
+          charge st Cost.per_word_libc;
           go (i + 1)
     in
-    ret (go 0) None
+    ret_plain st dst (go 0)
   | I.I_read_int ->
     (match input_next st with
-     | Some w -> ret w None
-     | None -> ret 0 None)
+     | Some w -> ret_plain st dst w
+     | None -> ret_plain st dst 0)
   | I.I_print_int ->
-    Buffer.add_string st.out (string_of_int (v 0));
+    Buffer.add_string st.out (string_of_int (eval_v fr args.(0)));
     Buffer.add_char st.out '\n'
   | I.I_print_str ->
-    Buffer.add_string st.out (read_cstr st (v 0) 4096);
+    Buffer.add_string st.out (read_cstr st (eval_v fr args.(0)) 4096);
     Buffer.add_char st.out '\n'
-  | I.I_checksum -> st.checksum <- checksum_mix st.checksum (v 0)
+  | I.I_checksum -> st.checksum <- checksum_mix st.checksum (eval_v fr args.(0))
   | I.I_setjmp ->
-    let buf = v 0 in
+    let buf = eval_v fr args.(0) in
     let th = st.running in
-    let fr = th.cur in
     (* Resume point: the instruction after this setjmp (ip was already
        advanced by the dispatch loop). *)
     let resume = fr.fr_pf.Pr.addrs.(fr.block).(fr.ip) in
@@ -757,7 +957,7 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
        implicitly-created code pointer (Section 3.2.1) — protected via the
        safe store when the configuration says so. *)
     if st.cfg.Config.protect_jmpbuf then begin
-      Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
+      charge_safe_store st;
       Safestore.set st.store buf
         { Safestore.value = resume; lower = resume; upper = resume + 1;
           tid = 0; kind = Safestore.Code }
@@ -767,30 +967,30 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
        redirecting. The context id is not a pointer and stays plain. *)
     let saved_pc =
       if st.cfg.Config.crypt_ptrs then begin
-        Cost.add st.cost Cost.crypt_cost;
+        charge st Cost.crypt_cost;
         Ptrcipher.encrypt st.key resume
       end
       else resume
     in
-    plain_write st buf (m 0) saved_pc;
-    plain_write st (buf + 1) (m 0) id;
-    ret 0 None
+    plain_write st buf fr args.(0) saved_pc;
+    plain_write st (buf + 1) fr args.(0) id;
+    ret_plain st dst 0
   | I.I_longjmp ->
-    let buf = v 0 and x = v 1 in
+    let buf = eval_v fr args.(0) and x = eval_v fr args.(1) in
     let target =
       if st.cfg.Config.protect_jmpbuf then begin
-        Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
+        charge_safe_store st;
         match Safestore.get st.store buf with
         | Some { Safestore.kind = Safestore.Code; value; _ } -> value
         | Some _ | None -> stop (Trapped Invalid_code_pointer)
       end
       else if st.cfg.Config.crypt_ptrs then begin
-        Cost.add st.cost Cost.crypt_cost;
-        Ptrcipher.decrypt st.key (plain_read st buf (m 0))
+        charge st Cost.crypt_cost;
+        Ptrcipher.decrypt st.key (plain_read st buf fr args.(0))
       end
-      else plain_read st buf (m 0)
+      else plain_read st buf fr args.(0)
     in
-    let id = plain_read st (buf + 1) (m 0) in
+    let id = plain_read st (buf + 1) fr args.(0) in
     let th = st.running in
     (match Hashtbl.find_opt st.jmp_ctxs id with
      | Some ctx
@@ -808,25 +1008,25 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
        fr.blk <- fr.fr_pf.Pr.blocks.(ctx.jc_block);
        fr.ip <- ctx.jc_ip;
        (match ctx.jc_dst with
-        | Some d -> set_reg fr d (if x = 0 then 1 else x) None
+        | Some d ->
+          set_reg fr d (if x = 0 then 1 else x);
+          clear_meta fr d
         | None -> ())
      | Some _ | None ->
        (* Corrupted jmp_buf: control flows to the stored "PC". *)
        divert st target ~via:`Longjmp)
   | I.I_system -> stop (Hijacked "system() reached")
-  | I.I_exit -> stop (Exit (v 0))
+  | I.I_exit -> stop (Exit (eval_v fr args.(0)))
   | I.I_abort -> stop (Crash "abort() called")
   | I.I_thread_spawn ->
     (* Create a thread running [fn(arg)] over a freshly carved stack pair;
        returns the thread id. The target must be genuine code: under
        CPI/CPS it needs code-pointer provenance like any indirect call. *)
-    let fv = v 0 and fm = m 0 and argv = v 1 and argm = m 1 in
-    Cost.add st.cost Cost.spawn_cost;
-    if st.cfg.Config.enforce_code_meta then begin
-      match fm with
-      | Some { kind = Safestore.Code; _ } -> ()
-      | Some _ | None -> stop (Trapped Invalid_code_pointer)
-    end;
+    let fv = eval_v fr args.(0) in
+    charge st Cost.spawn_cost;
+    if st.cfg.Config.enforce_code_meta
+       && op_kind fr args.(0) <> Meta.k_code
+    then stop (Trapped Invalid_code_pointer);
     (match Hashtbl.find_opt st.image.Loader.entry_findex fv with
      | None -> stop (Crash "thread_spawn: target is not a function entry")
      | Some idx ->
@@ -837,23 +1037,30 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
        st.threads <- Array.append st.threads [| th |];
        st.nthreads <- tid + 1;
        st.live <- st.live + 1;
-       push_frame st th (pf_of_index st idx)
-         ~args:[| (argv, argm) |]
-         ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
+       let pf = pf_of_index st idx in
+       let nf =
+         push_frame st th pf ~ret_dst:(-1) ~pushed_ret:exit_sentinel ~block:0
+           ~ip:0
+       in
+       if pf.Pr.nregs > 0 then begin
+         set_reg nf 0 (eval_v fr args.(1));
+         copy_meta nf 0 fr args.(1)
+       end;
        if not st.mt then begin
+         flush_window st;
          st.mt <- true;
          st.sched_left <- Sched.quantum st.sched
        end;
-       ret tid None)
+       ret_plain st dst tid)
   | I.I_thread_join ->
     (* Reap a finished thread's return value, or block until it finishes.
        Blocking rewinds ip so the join re-executes after wake-up. *)
-    Cost.add st.cost Cost.join_cost;
-    let tid = v 0 in
+    charge st Cost.join_cost;
+    let tid = eval_v fr args.(0) in
     if tid <= 0 || tid >= st.nthreads then
       stop (Crash "thread_join: invalid thread id");
     (match st.threads.(tid).status with
-     | Finished rv -> ret rv None
+     | Finished rv -> ret_plain st dst rv
      | Runnable | Blocked_join _ | Blocked_mutex _ ->
        let th = st.running in
        fr.ip <- fr.ip - 1;
@@ -862,8 +1069,8 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
   | I.I_mutex_lock ->
     (* Non-recursive mutex keyed by its address; contention blocks and
        retries after the owner unlocks. *)
-    Cost.add st.cost Cost.mutex_cost;
-    let a = v 0 in
+    charge st Cost.mutex_cost;
+    let a = eval_v fr args.(0) in
     let th = st.running in
     (match Hashtbl.find_opt st.mutexes a with
      | None ->
@@ -875,8 +1082,8 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
        th.status <- Blocked_mutex a;
        reschedule st)
   | I.I_mutex_unlock ->
-    Cost.add st.cost Cost.mutex_cost;
-    let a = v 0 in
+    charge st Cost.mutex_cost;
+    let a = eval_v fr args.(0) in
     let th = st.running in
     (match Hashtbl.find_opt st.mutexes a with
      | Some owner when owner = th.t_id ->
@@ -893,179 +1100,208 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
   | I.I_atomic_add ->
     (* Atomic fetch-and-add on shared memory: one synchronised RMW, so the
        race detector is muted for its two accesses. *)
-    Cost.add st.cost Cost.atomic_cost;
-    Cost.charge_mem st.cost ~instrumented:false (Cost.load_base + Cost.store_base);
-    let a = v 0 and d = v 1 in
+    charge st Cost.atomic_cost;
+    charge_mem st ~instrumented:false (Cost.load_base + Cost.store_base);
+    let a = eval_v fr args.(0) and d = eval_v fr args.(1) in
     st.race_mute <- true;
-    let old = plain_read st a (m 0) in
-    plain_write st a (m 0) (old + d);
+    let old = plain_read st a fr args.(0) in
+    plain_write st a fr args.(0) (old + d);
     st.race_mute <- false;
-    ret old None
+    ret_plain st dst old
 
 (* ---------- Loads and stores ---------- *)
 
-(* Each arm writes the destination register directly instead of returning a
-   [(value, meta)] pair: the regular-load path must stay allocation-free. *)
+(* Each arm writes the destination register directly, value and metadata
+   words in place, after every read of the address operand's metadata
+   ([dst] may be the address register). *)
 let do_load st fr dst ~what ~universal addr_op where checked =
   let a = eval_v fr addr_op in
-  let ma = eval_m fr addr_op in
-  let size = 1 in
-  if checked then
-    check_deref st a ma ~size ~what;
+  if checked then check_deref st a fr addr_op ~size:1 ~what;
   match where with
   | I.Regular ->
-    Cost.charge_mem st.cost ~instrumented:false Cost.load_base;
+    charge_mem st ~instrumented:false Cost.load_base;
     if fr.penalize_stack
        && a land 7 = 0
        && a <= Layout.stack_top + st.slide
        && a > Layout.stack_limit + st.slide
-    then Cost.add st.cost Cost.locality_penalty;
+    then charge st Cost.locality_penalty;
     race_data st a ~write:false;
     (* plain_read with the safe-region shadow lookup fused in, so the
        address is classified once. *)
     let a' = a - st.slide in
     if a' < Layout.safe_base then begin
       if a' < Layout.null_guard then stop (Crash "null-page access");
-      set_reg fr dst (Mem.read st.mem a) None
+      set_reg fr dst (mem_read st a);
+      clear_meta fr dst
     end
     else if a' < Layout.safe_end then begin
-      check_safe_access a ma ~size:1;
-      set_reg fr dst (Mem.read st.mem a) (Hashtbl.find_opt st.safe_meta a)
+      check_safe_access fr addr_op a ~size:1;
+      set_reg fr dst (mem_read st a);
+      let p = shadow_page st a and o = shadow_offset a in
+      set_meta fr dst
+        ~lower:(Array.unsafe_get p (o + Meta.w_lower))
+        ~upper:(Array.unsafe_get p (o + Meta.w_upper))
+        ~tid:(Array.unsafe_get p (o + Meta.w_tid))
+        ~kind:(Array.unsafe_get p (o + Meta.w_kind))
     end
-    else if a' >= Layout.code_base && a' < Layout.code_end then
-      set_reg fr dst 0xC0DE None
-    else set_reg fr dst (Mem.read st.mem a) None
+    else begin
+      set_reg fr dst
+        (if a' >= Layout.code_base && a' < Layout.code_end then 0xC0DE
+         else mem_read st a);
+      clear_meta fr dst
+    end
   | I.SafeFull | I.SafeDebug ->
-    Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
-    Cost.charge_mem st.cost ~instrumented:true 0;
+    charge_safe_store st;
+    charge_mem st ~instrumented:true 0;
     race_meta st a ~write:false;
     (match Safestore.get st.store a with
      | Some e ->
        if where = I.SafeDebug then begin
          (* debug mode: regular mirror must match *)
-         let mirror = Mem.read st.mem a in
+         let mirror = mem_read st a in
          if mirror <> e.Safestore.value then stop (Trapped Debug_mismatch)
        end;
-       set_reg fr dst e.Safestore.value (meta_of_entry e)
+       set_reg fr dst e.Safestore.value;
+       set_meta_of_entry fr dst e
      | None ->
        (* No protected value here: universal pointer currently holding a
           regular value; fall back to the regular region. *)
-       Cost.add st.cost Cost.load_base;
-       set_reg fr dst (plain_read st a ma) None)
+       charge st Cost.load_base;
+       set_reg fr dst (plain_read st a fr addr_op);
+       clear_meta fr dst)
   | I.SafeValue ->
     st.cost.Cost.safe_store_ops <- st.cost.Cost.safe_store_ops + 1;
-    Cost.charge_mem st.cost ~instrumented:true
-      (Safestore.lookup_cost st.cfg.Config.store_impl + 2
+    charge_mem st ~instrumented:true
+      (st.lookup_cost + 2
        + (if universal then 1 else 0));
     race_meta st a ~write:false;
     (match Safestore.get st.store a with
      | Some e ->
-       set_reg fr dst e.Safestore.value
-         (Some { lower = e.Safestore.value; upper = e.Safestore.value + 1;
-                 tid = 0; kind = Safestore.Code })
-     | None -> set_reg fr dst (plain_read st a ma) None)
+       let v = e.Safestore.value in
+       set_reg fr dst v;
+       set_meta fr dst ~lower:v ~upper:(v + 1) ~tid:0 ~kind:Meta.k_code
+     | None ->
+       set_reg fr dst (plain_read st a fr addr_op);
+       clear_meta fr dst)
   | I.SafeData ->
-    Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
-    Cost.charge_mem st.cost ~instrumented:true 0;
+    charge_safe_store st;
+    charge_mem st ~instrumented:true 0;
     race_meta st a ~write:false;
     (match Safestore.get st.store a with
-     | Some e -> set_reg fr dst e.Safestore.value (meta_of_entry e)
+     | Some e ->
+       set_reg fr dst e.Safestore.value;
+       set_meta_of_entry fr dst e
      | None ->
-       Cost.add st.cost Cost.load_base;
-       set_reg fr dst (plain_read st a ma) None)
+       charge st Cost.load_base;
+       set_reg fr dst (plain_read st a fr addr_op);
+       clear_meta fr dst)
   | I.RegularMeta ->
-    Cost.charge_mem st.cost ~instrumented:true Cost.load_base;
-    Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
+    charge_mem st ~instrumented:true Cost.load_base;
+    charge_safe_store st;
     race_meta st a ~write:false;
-    let v = plain_read st a ma in
-    let m =
-      match Safestore.get st.store a with
-      | Some e when e.Safestore.value = v -> meta_of_entry e
-      | Some _ | None -> None
-    in
-    set_reg fr dst v m
+    let v = plain_read st a fr addr_op in
+    set_reg fr dst v;
+    (match Safestore.get st.store a with
+     | Some e when e.Safestore.value = v -> set_meta_of_entry fr dst e
+     | Some _ | None -> clear_meta fr dst)
   | I.Crypt ->
     (* cpi-crypt: the cell holds ciphertext in the regular region; decrypt
        with the per-run key on the way into the register. A tampered cell
        decrypts to a garbled value with no metadata — using it as a call
        or jump target traps under DEP instead of hijacking. *)
-    Cost.charge_mem st.cost ~instrumented:true
+    charge_mem st ~instrumented:true
       (Cost.load_base + Cost.crypt_cost);
-    set_reg fr dst (Ptrcipher.decrypt st.key (plain_read st a ma)) None
+    set_reg fr dst (Ptrcipher.decrypt st.key (plain_read st a fr addr_op));
+    clear_meta fr dst
 
 let do_store st fr ~what ~universal v_op addr_op where checked =
   let vv = eval_v fr v_op in
-  let vm = eval_m fr v_op in
+  let vk = op_kind fr v_op in
   let a = eval_v fr addr_op in
-  let ma = eval_m fr addr_op in
-  if checked then check_deref st a ma ~size:1 ~what;
+  if checked then check_deref st a fr addr_op ~size:1 ~what;
   match where with
   | I.Regular ->
-    Cost.charge_mem st.cost ~instrumented:false Cost.store_base;
+    charge_mem st ~instrumented:false Cost.store_base;
     if fr.penalize_stack
        && a land 7 = 0
        && a <= Layout.stack_top + st.slide
        && a > Layout.stack_limit + st.slide
-    then Cost.add st.cost Cost.locality_penalty;
-    write_with_shadow st a ma vv vm
+    then charge st Cost.locality_penalty;
+    plain_write st a fr addr_op vv;
+    (* Stores to the safe stack carry the value's metadata through the
+       shadow; the matching read is fused into [do_load]'s [Regular] arm. *)
+    if a - st.slide >= Layout.safe_base && a - st.slide < Layout.safe_end
+    then begin
+      if vk = Meta.k_none then begin
+        (* Shadow.clear_at, inlined: nothing to drop on an unmapped page. *)
+        let p = shadow_page st a in
+        if p != Shadow.absent then
+          Array.unsafe_set p (shadow_offset a + Meta.w_kind) Meta.k_none
+      end
+      else
+        Shadow.set st.shadow a ~lower:(op_lower fr v_op)
+          ~upper:(op_upper fr v_op) ~tid:(op_tid fr v_op) ~kind:vk
+    end
   | I.SafeFull | I.SafeDebug ->
-    Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
-    Cost.charge_mem st.cost ~instrumented:true 0;
+    charge_safe_store st;
+    charge_mem st ~instrumented:true 0;
     race_meta st a ~write:true;
-    (match vm with
-     | Some m ->
-       Safestore.set st.store a (entry_of_meta vv (Some m));
-       if where = I.SafeDebug then begin
-         Cost.add st.cost Cost.store_base;
-         Mem.write st.mem a vv   (* mirror copy for non-instrumented readers *)
-       end
-     | None ->
-       (* Value without valid metadata (e.g. cast from a plain integer):
-          store in the regular region with an invalidated safe entry. *)
-       Safestore.clear_at st.store a;
-       Cost.add st.cost Cost.store_base;
-       plain_write st a ma vv)
+    if vk <> Meta.k_none then begin
+      Safestore.set st.store a (entry_of_op fr v_op vv);
+      if where = I.SafeDebug then begin
+        charge st Cost.store_base;
+        mem_write st a vv   (* mirror copy for non-instrumented readers *)
+      end
+    end
+    else begin
+      (* Value without valid metadata (e.g. cast from a plain integer):
+         store in the regular region with an invalidated safe entry. *)
+      Safestore.clear_at st.store a;
+      charge st Cost.store_base;
+      plain_write st a fr addr_op vv
+    end
   | I.SafeValue ->
     st.cost.Cost.safe_store_ops <- st.cost.Cost.safe_store_ops + 1;
-    Cost.charge_mem st.cost ~instrumented:true
-      (Safestore.lookup_cost st.cfg.Config.store_impl + 2
+    charge_mem st ~instrumented:true
+      (st.lookup_cost + 2
        + (if universal then 1 else 0));
     race_meta st a ~write:true;
-    (match vm with
-     | Some { kind = Safestore.Code; _ } ->
-       Safestore.set st.store a
-         { Safestore.value = vv; lower = vv; upper = vv + 1; tid = 0;
-           kind = Safestore.Code }
-     | Some _ | None ->
-       Safestore.clear_at st.store a;
-       Cost.add st.cost Cost.store_base;
-       plain_write st a ma vv)
+    if vk = Meta.k_code then
+      Safestore.set st.store a
+        { Safestore.value = vv; lower = vv; upper = vv + 1; tid = 0;
+          kind = Safestore.Code }
+    else begin
+      Safestore.clear_at st.store a;
+      charge st Cost.store_base;
+      plain_write st a fr addr_op vv
+    end
   | I.SafeData ->
     (* annotated sensitive data: the value always lives in the safe store,
        with metadata when the value has any and degenerate bounds when it
        is plain data *)
-    Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
-    Cost.charge_mem st.cost ~instrumented:true 0;
+    charge_safe_store st;
+    charge_mem st ~instrumented:true 0;
     race_meta st a ~write:true;
-    (match vm with
-     | Some m -> Safestore.set st.store a (entry_of_meta vv (Some m))
-     | None ->
-       Safestore.set st.store a
+    Safestore.set st.store a
+      (if vk <> Meta.k_none then entry_of_op fr v_op vv
+       else
          { Safestore.value = vv; lower = 0; upper = 0; tid = 0;
            kind = Safestore.Data })
   | I.RegularMeta ->
-    Cost.charge_mem st.cost ~instrumented:true Cost.store_base;
-    Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
+    charge_mem st ~instrumented:true Cost.store_base;
+    charge_safe_store st;
     race_meta st a ~write:true;
-    plain_write st a ma vv;
-    Safestore.set st.store a (entry_of_meta vv vm)
+    plain_write st a fr addr_op vv;
+    Safestore.set st.store a
+      (if vk <> Meta.k_none then entry_of_op fr v_op vv
+       else Safestore.invalid_entry vv)
   | I.Crypt ->
     (* cpi-crypt: encrypt the value in place; no metadata survives the
        cipher (bounds/provenance are deliberately not modelled — the
        scheme trades them for the no-safe-region layout). *)
-    Cost.charge_mem st.cost ~instrumented:true
+    charge_mem st ~instrumented:true
       (Cost.store_base + Cost.crypt_cost);
-    plain_write st a ma (Ptrcipher.encrypt st.key vv)
+    plain_write st a fr addr_op (Ptrcipher.encrypt st.key vv)
 
 (* ---------- Instruction dispatch ---------- *)
 
@@ -1100,32 +1336,28 @@ let exec_instr st fr (i : Loader.pmeta Pr.instr) =
   match i with
   | Pr.Alloca { dst; on_safe; offset; size } ->
     fr.ip <- fr.ip + 1;
-    Cost.add st.cost Cost.alu;
+    charge st Cost.alu;
     let base = if on_safe then fr.base_s else fr.base_r in
     let addr = base - offset in
-    set_reg fr dst addr
-      (Some { lower = addr; upper = addr + size; tid = 0;
-              kind = Safestore.Data })
+    set_reg fr dst addr;
+    set_meta fr dst ~lower:addr ~upper:(addr + size) ~tid:0 ~kind:Meta.k_data
   | Pr.Bin { dst; op; l; r } ->
     fr.ip <- fr.ip + 1;
-    Cost.add st.cost Cost.alu;
-    let a = eval_v fr l in
-    let b = eval_v fr r in
-    let am = eval_m fr l in
-    let bm = eval_m fr r in
-    let m =
-      match op, am, bm with
-      | (I.Add | I.Sub), Some m, None -> Some m
-      | I.Add, None, Some m -> Some m
-      | _, _, _ -> None
-    in
-    set_reg fr dst (exec_binop op a b) m
+    charge st Cost.alu;
+    let v = exec_binop op (eval_v fr l) (eval_v fr r) in
+    (* Pointer arithmetic keeps the pointer operand's metadata. *)
+    let lk = op_kind fr l and rk = op_kind fr r in
+    (match op with
+     | (I.Add | I.Sub) when lk <> Meta.k_none && rk = Meta.k_none ->
+       copy_meta fr dst fr l
+     | I.Add when lk = Meta.k_none && rk <> Meta.k_none -> copy_meta fr dst fr r
+     | _ -> clear_meta fr dst);
+    set_reg fr dst v
   | Pr.Cmp { dst; op; l; r } ->
     fr.ip <- fr.ip + 1;
-    Cost.add st.cost Cost.alu;
-    let a = eval_v fr l in
-    let b = eval_v fr r in
-    set_reg fr dst (exec_cmp op a b) None
+    charge st Cost.alu;
+    set_reg fr dst (exec_cmp op (eval_v fr l) (eval_v fr r));
+    clear_meta fr dst
   | Pr.Load { dst; what; universal; addr; where; checked } ->
     fr.ip <- fr.ip + 1;
     do_load st fr dst ~what ~universal addr where checked
@@ -1134,31 +1366,33 @@ let exec_instr st fr (i : Loader.pmeta Pr.instr) =
     do_store st fr ~what ~universal v addr where checked
   | Pr.Gep { dst; base; path } ->
     fr.ip <- fr.ip + 1;
-    let n = Array.length path in
-    let rec go k a m =
-      if k = n then set_reg fr dst a m
-      else begin
-        Cost.add st.cost Cost.alu;
-        match path.(k) with
-        | Pr.Field (off, fsize) ->
-          let a = a + off in
-          (* Narrow the based-on bounds to the sub-object (case iii). *)
-          let m =
-            match m with
-            | Some mm when mm.kind = Safestore.Data ->
-              Some { mm with lower = a; upper = a + fsize }
-            | other -> other
-          in
-          go (k + 1) a m
-        | Pr.Index (elem_size, idx_op) ->
-          go (k + 1) (a + (eval_v fr idx_op * elem_size)) m
-      end
-    in
-    go 0 (eval_v fr base) (eval_m fr base)
+    let data = op_kind fr base = Meta.k_data in
+    let a = ref (eval_v fr base) in
+    let narrowed = ref false and lower = ref 0 and upper = ref 0 in
+    for k = 0 to Array.length path - 1 do
+      charge st Cost.alu;
+      match Array.unsafe_get path k with
+      | Pr.Field (off, fsize) ->
+        a := !a + off;
+        (* Narrow the based-on bounds to the sub-object (case iii). *)
+        if data then begin
+          narrowed := true;
+          lower := !a;
+          upper := !a + fsize
+        end
+      | Pr.Index (elem_size, idx_op) -> a := !a + (eval_v fr idx_op * elem_size)
+    done;
+    copy_meta fr dst fr base;
+    if !narrowed then begin
+      Array.unsafe_set fr.rm ((dst lsl 2) + Meta.w_lower) !lower;
+      Array.unsafe_set fr.rm ((dst lsl 2) + Meta.w_upper) !upper
+    end;
+    set_reg fr dst !a
   | Pr.Cast { dst; v } ->
     fr.ip <- fr.ip + 1;
-    Cost.add st.cost Cost.alu;
-    set_reg fr dst (eval_v fr v) (eval_m fr v)
+    charge st Cost.alu;
+    set_reg fr dst (eval_v fr v);
+    copy_meta fr dst fr v
   | Pr.Call { dst; callee; args; cfi_checked; cfi_set; ret_addr } ->
     do_call st fr dst callee args cfi_checked cfi_set ret_addr
   | Pr.Intrin { dst; op; args } ->
@@ -1172,17 +1406,24 @@ let[@inline] goto fr b =
 
 let exec_term st fr (t : Loader.pmeta Pr.term) =
   match t with
-  | Pr.Ret None -> do_ret st 0 None
-  | Pr.Ret (Some o) -> do_ret st (eval_v fr o) (eval_m fr o)
+  | Pr.Ret ro -> do_ret st fr ro
   | Pr.Br (c, bt, bf) ->
-    Cost.add st.cost Cost.branch;
+    charge st Cost.branch;
     goto fr (if eval_v fr c <> 0 then bt else bf)
   | Pr.Jmp b ->
-    Cost.add st.cost Cost.branch;
+    charge st Cost.branch;
     goto fr b
   | Pr.Switch (o, tbl) ->
-    Cost.add st.cost (Cost.branch + 1);
-    goto fr (Pr.switch_target tbl (eval_v fr o))
+    charge st (Cost.branch + 1);
+    let v = eval_v fr o in
+    (* Pr.switch_target, with the dense-table case inlined. *)
+    goto fr
+      (match tbl with
+       | Pr.Dense { base; targets; default } ->
+         let i = v - base in
+         if i >= 0 && i < Array.length targets then Array.unsafe_get targets i
+         else default
+       | Pr.Sparse _ -> Pr.switch_target tbl v)
   | Pr.Unreachable -> stop (Crash "unreachable executed")
 
 (* ---------- Fault injection ---------- *)
@@ -1195,9 +1436,11 @@ let exec_term st fr (t : Loader.pmeta Pr.term) =
    bypassed isolation — campaign classification treats them separately. *)
 let apply_fault st = function
   | Flip_bit { addr; bit } ->
-    let v = plain_read st addr None in
-    plain_write st addr None (v lxor (1 lsl (bit land 62)))
-  | Arb_write { addr; value } -> plain_write st addr None value
+    let fr = st.running.cur in
+    let v = plain_read st addr fr no_prov in
+    plain_write st addr fr no_prov (v lxor (1 lsl (bit land 62)))
+  | Arb_write { addr; value } ->
+    plain_write st addr st.running.cur no_prov value
   (* Keyed backends (cpi-crypt) have an empty safe store: both metadata
      attacks below hit [None]/no-op — dropping metadata is not the same
      as leaking the key, which is exactly the spectrum invariant the
@@ -1211,7 +1454,7 @@ let apply_fault st = function
     (* An availability fault, not a corruption: the machine loses [cycles]
        simulated cycles to an external stall (I/O hiccup, page fault
        storm). Memory and metadata are untouched. *)
-    Cost.add st.cost (max 0 cycles)
+    charge st (max 0 cycles)
   | Worker_kill { tid } ->
     (* Asynchronously kill one spawned thread, as a worker crash would:
        the thread finishes with value -1 (joiners observe it), any mutex
@@ -1256,16 +1499,30 @@ let inject_faults st =
     if st.fault_pos < n then st.fuel0 - fst st.faults.(st.fault_pos)
     else min_int
 
-let step st =
+(* The per-step tests, made at the first step of a window: fuel, due
+   faults, preemption. Then charge the window — every following step up
+   to the next one where one of these tests could fire — to [fuel] and
+   [sched_left], so that those steps pay a single countdown. *)
+let[@inline never] begin_window st =
   if st.fuel <= 0 then stop Fuel_exhausted;
   if st.fuel = st.next_fault_fuel then inject_faults st;
-  (* Preemption check: a single decrement-and-test per step while the
-     machine is multithreaded, one boolean test before that. *)
   if st.mt then begin
     if st.sched_left <= 0 then reschedule st
     else st.sched_left <- st.sched_left - 1
   end;
   st.fuel <- st.fuel - 1;
+  let w = st.fuel in
+  let w =
+    if st.next_fault_fuel = min_int then w
+    else min w (st.fuel - st.next_fault_fuel)
+  in
+  let w = if st.mt then min w st.sched_left else w in
+  st.fuel <- st.fuel - w;
+  if st.mt then st.sched_left <- st.sched_left - w;
+  st.budget <- w
+
+let step st =
+  if st.budget > 0 then st.budget <- st.budget - 1 else begin_window st;
   let fr = st.running.cur in
   let blk = fr.blk in
   if fr.ip < Array.length blk.Pr.instrs then
@@ -1320,18 +1577,20 @@ let create ?(input = [||]) ?(fuel = 60_000_000) ?(faults = [])
   in
   let main_thread = fresh_thread ~slide 0 in
   { image; cfg; slide; key; mem; store; heap; cost = Cost.create ();
+    lookup_cost = Safestore.lookup_cost cfg.Config.store_impl;
     running = main_thread; threads = [| main_thread |]; nthreads = 1;
     sched = Sched.create ~seed:sched_seed; mt = false; sched_left = max_int;
     live = 1;
     mutexes = Hashtbl.create 8; race = Race.create (); race_mute = false;
     fuel0 = fuel; input; input_pos = 0; out = Buffer.create 256; checksum = 0; fuel;
-    jmp_ctxs = Hashtbl.create 8; next_jmp = 1; safe_meta = Hashtbl.create 64;
+    budget = 0;
+    jmp_ctxs = Hashtbl.create 8; next_jmp = 1; shadow = Shadow.create ();
     faults; fault_pos = 0; next_fault_fuel }
 
 let result_of st outcome =
   { outcome;
     cycles = st.cost.Cost.cycles;
-    instrs = st.fuel0 - st.fuel;
+    instrs = st.fuel0 - (st.fuel + st.budget);
     mem_ops = st.cost.Cost.mem_ops;
     instrumented_mem_ops = st.cost.Cost.instrumented_mem_ops;
     output = Buffer.contents st.out;
@@ -1356,9 +1615,9 @@ let run ?input ?fuel ?faults ?sched_seed (image : Loader.image) : result =
   (* A synthetic outermost frame is not needed: push main with the exit
      sentinel as its return address. *)
   (try
-     push_frame st st.running main
-       ~args:(Array.make main.Pr.nparams (0, None))
-       ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
+     ignore
+       (push_frame st st.running main ~ret_dst:(-1) ~pushed_ret:exit_sentinel
+          ~block:0 ~ip:0);
      let rec loop () =
        step st;
        loop ()

@@ -39,12 +39,13 @@ let key_of_seed seed =
   if z = 0 then 0x5DEECE66D else z
 
 (* One Feistel pass: xor the round function of one half into the other,
-   alternating. Inverse applies the same xors in reverse order. *)
-let[@inline] split v = (v land lo_mask, v lsr lo_bits)
+   alternating. Inverse applies the same xors in reverse order. The halves
+   are split inline rather than through a pair, which would allocate on
+   every sensitive load and store. *)
 let[@inline] join lo hi = (hi lsl lo_bits) lor lo
 
 let perm key v =
-  let lo, hi = split v in
+  let lo = v land lo_mask and hi = v lsr lo_bits in
   let hi = hi lxor (round_f lo (key + 1) lsr lo_bits) in
   let lo = (lo lxor round_f hi (key + 2)) land lo_mask in
   let hi = hi lxor (round_f lo (key + 3) lsr lo_bits) in
@@ -52,7 +53,7 @@ let perm key v =
   join lo hi
 
 let perm_inv key v =
-  let lo, hi = split v in
+  let lo = v land lo_mask and hi = v lsr lo_bits in
   let lo = (lo lxor round_f hi (key + 4)) land lo_mask in
   let hi = hi lxor (round_f lo (key + 3) lsr lo_bits) in
   let lo = (lo lxor round_f hi (key + 2)) land lo_mask in

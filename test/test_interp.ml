@@ -341,6 +341,163 @@ let test_concurrent_workload () =
   Alcotest.(check int) "checksum protection-independent"
     r0.M.Interp.checksum rv.M.Interp.checksum
 
+(* ---------- Allocation guard ---------- *)
+
+(* The hot path — straight-line code, GEPs, calls and returns, safe-stack
+   slots — allocates nothing per simulated instruction: registers carry
+   unboxed metadata and frames are pooled. A re-boxed register file or a
+   per-call allocation costs several minor words per instruction and
+   trips this bound; the run is fuel-capped, so machine set-up is a small
+   constant against 200k instructions. *)
+let call_heavy_src =
+  {|int add3(int a, int b, int *c) { return a + b + *c; }
+    int fib(int n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+    int main() {
+      int k = 1; int acc = 0; int i = 0;
+      while (1) { acc = acc + add3(i, acc, &k) + fib(8); i = i + 1; }
+      return acc;
+    }|}
+
+let gep_heavy_src =
+  {|struct cell { int a; int b[4]; struct cell *next; };
+    int main() {
+      struct cell *cs = (struct cell *) malloc(sizeof(struct cell) * 32);
+      struct cell local[4];
+      int i = 0; int s = 0;
+      while (1) {
+        for (i = 0; i < 32; i = i + 1) {
+          cs[i].b[i % 4] = i;
+          cs[i].next = &cs[(i + 1) % 32];
+          local[i % 4].a = s;
+          s = s + cs[i].next->b[(i + 3) % 4] + local[(i + 1) % 4].a % 7;
+        }
+      }
+      return s;
+    }|}
+
+let test_alloc_guard () =
+  let fuel = 200_000 in
+  List.iter
+    (fun (name, src) ->
+      let prog = compile src in
+      List.iter
+        (fun protection ->
+          let b = P.build protection prog in
+          let image = M.Loader.load b.P.prog b.P.config in
+          let w0 = Gc.minor_words () in
+          let r = M.Interp.run ~fuel image in
+          let words = Gc.minor_words () -. w0 in
+          let label = name ^ "/" ^ P.protection_name protection in
+          Alcotest.check outcome_testable (label ^ " runs to the cap")
+            M.Trap.Fuel_exhausted r.M.Interp.outcome;
+          let per_instr = words /. float_of_int r.M.Interp.instrs in
+          if per_instr >= 0.5 then
+            Alcotest.failf "%s: %.3f minor words per instruction (bound 0.5)"
+              label per_instr)
+        [ P.Vanilla; P.Cpi ])
+    [ ("call-heavy", call_heavy_src); ("gep-heavy", gep_heavy_src) ]
+
+(* ---------- Frame reuse ---------- *)
+
+(* Frames are pooled per call depth, so a callee runs in the register file
+   an earlier callee at the same depth left behind. Every register it has
+   not written yet must read 0 with no metadata, whatever that earlier
+   callee held there. [fill] leaves every one of its registers holding a
+   pointer to its local array, with that array's bounds; [fill] returns
+   the array's address as a plain integer (a multiply drops the
+   metadata). *)
+module B = Levee_ir.Builder
+module I = Levee_ir.Instr
+module Ty = Levee_ir.Ty
+
+let fill_func () =
+  let b = B.create ~name:"fill" ~params:[] ~ret_ty:Ty.Int in
+  let base = B.alloca b (Ty.Arr (Ty.Int, 8)) in
+  for _ = 1 to 24 do
+    ignore (B.cast b I.Bitcast (Ty.Ptr Ty.Int) (I.Reg base))
+  done;
+  let plain = B.bin b I.Mul (I.Reg base) (I.Imm 1) in
+  B.set_term b (I.Ret (Some (I.Reg plain)));
+  B.finish b
+
+(* [main] calls [fill], then [probe] with fill's result at the same depth,
+   and exits with probe's result. *)
+let reuse_prog probe =
+  let p = Levee_ir.Prog.create () in
+  Levee_ir.Prog.add_func p (fill_func ());
+  Levee_ir.Prog.add_func p probe;
+  let b = B.create ~name:"main" ~params:[] ~ret_ty:Ty.Int in
+  let addr =
+    Option.get (B.call b ~ret_ty:Ty.Int (I.Direct "fill") [])
+  in
+  let r =
+    Option.get
+      (B.call b ~ret_ty:Ty.Int (I.Direct probe.Levee_ir.Prog.fname)
+         [ I.Reg addr ])
+  in
+  B.set_term b (I.Ret (Some (I.Reg r)));
+  Levee_ir.Prog.add_func p (B.finish b);
+  p
+
+let test_frame_reuse_zeroes_registers () =
+  (* probe(addr) returns a register it never writes. *)
+  let b = B.create ~name:"probe" ~params:[ ("addr", Ty.Int) ] ~ret_ty:Ty.Int in
+  let never = B.fresh_reg ~ty:Ty.Int b in
+  B.set_term b (I.Ret (Some (I.Reg never)));
+  let prog = reuse_prog (B.finish b) in
+  let r = M.Interp.run_program prog M.Config.vanilla in
+  Alcotest.(check int) "never-written register reads 0" 0 (exit_code r)
+
+let test_frame_reuse_drops_metadata () =
+  (* probe(addr) dereferences never + addr through a checked load. With
+     fill's metadata left stale in [never], the address would lie inside
+     the stale bounds and the check would pass. *)
+  let b = B.create ~name:"probe" ~params:[ ("addr", Ty.Int) ] ~ret_ty:Ty.Int in
+  let never = B.fresh_reg ~ty:(Ty.Ptr Ty.Int) b in
+  let p = B.bin b I.Add (I.Reg never) (I.Reg (B.param_reg b 0)) in
+  let v = B.fresh_reg ~ty:Ty.Int b in
+  B.emit b
+    (I.Load { dst = v; ty = Ty.Int; addr = I.Reg p; where = I.Regular;
+              checked = true });
+  B.set_term b (I.Ret (Some (I.Reg v)));
+  let prog = reuse_prog (B.finish b) in
+  List.iter
+    (fun cfg ->
+      match (M.Interp.run_program prog cfg).M.Interp.outcome with
+      | M.Trap.Trapped (M.Trap.Missing_metadata _) -> ()
+      | o ->
+        Alcotest.failf "%s: expected a missing-metadata trap, got %s"
+          cfg.M.Config.name (M.Trap.outcome_to_string o))
+    [ M.Config.vanilla; M.Config.cpi () ]
+
+let test_diverted_entry_at_reused_depth () =
+  (* main calls fill, then makes an indirect call to the second
+     instruction of [gadget]: the machine diverts into a fresh frame at
+     fill's depth. [gadget]'s first instruction, which would set r0, never
+     runs, so r0 must read 0; returning through the exit sentinel ends the
+     program with it. *)
+  let p = Levee_ir.Prog.create () in
+  Levee_ir.Prog.add_func p (fill_func ());
+  let g = B.create ~name:"gadget" ~params:[] ~ret_ty:Ty.Int in
+  let r0 = B.bin g I.Add (I.Imm 7) (I.Imm 0) in
+  ignore (B.bin g I.Add (I.Imm 9) (I.Imm 0));
+  B.set_term g (I.Ret (Some (I.Reg r0)));
+  Levee_ir.Prog.add_func p (B.finish g);
+  let b = B.create ~name:"main" ~params:[] ~ret_ty:Ty.Int in
+  ignore (B.call b ~ret_ty:Ty.Int (I.Direct "fill") []);
+  let target = Option.get (B.intrin b ~dst_ty:Ty.Int I.I_read_int []) in
+  let r =
+    Option.get
+      (B.call b ~fty:(Ty.Fn ([], Ty.Int)) ~ret_ty:Ty.Int
+         (I.Indirect (I.Reg target)) [])
+  in
+  B.set_term b (I.Ret (Some (I.Reg r)));
+  Levee_ir.Prog.add_func p (B.finish b);
+  let image = M.Loader.load p M.Config.vanilla in
+  let mid = M.Loader.point_addr image "gadget" 0 1 in
+  let r = M.Interp.run ~input:[| mid |] image in
+  Alcotest.(check int) "gadget sees zeroed registers" 0 (exit_code r)
+
 let () =
   Alcotest.run "interp"
     [ ("traps",
@@ -369,4 +526,10 @@ let () =
          t "mutex misuse" test_mutex_misuse;
          t "thread errors" test_thread_errors;
          t "spawn via function pointer" test_spawn_via_fptr;
-         t "concurrent workload" test_concurrent_workload ]) ]
+         t "concurrent workload" test_concurrent_workload ]);
+      ("hot path",
+       [ t "allocation guard" test_alloc_guard;
+         t "frame reuse zeroes registers" test_frame_reuse_zeroes_registers;
+         t "frame reuse drops metadata" test_frame_reuse_drops_metadata;
+         t "diverted entry at a reused depth"
+           test_diverted_entry_at_reused_depth ]) ]

@@ -1,19 +1,24 @@
-(* Unit tests for the one-entry direct-mapped page caches that front the
-   paged memory and the array/two-level safe-store backends.
+(* Unit tests for the page caches that front the paged memory (a
+   multi-slot direct-mapped cache), the safe-stack metadata shadow and the
+   array/two-level safe-store backends (one-entry caches).
 
    The caches are pure host-side accelerators: they must never change what
    a read returns, never make an unmapped read allocate a page, and must
    be invalidated by [clear] / [reset]. The tests drive exactly the access
    patterns the cache could get wrong: hit-after-miss, interleaving across
-   page boundaries (each access evicts the other page's cache line), and
-   reuse of a cleared store. *)
+   page boundaries and within one cache slot (each access evicts the other
+   page's cache line), and reuse of a cleared store. *)
 
 module M = Levee_machine
+module L = M.Layout
 
-(* Mem.page_words is private to mem.ml; 1 lsl 12 mirrors its page size.
-   Two addresses this far apart are guaranteed to live on distinct
-   pages whatever the (power-of-two) page size below 1 lsl 12. *)
-let page_words = 1 lsl 12
+let page_words = M.Mem.page_words
+
+(* The first page-aligned address at or after [from] whose page maps to
+   cache slot [slot]. *)
+let page_in_slot ~from slot =
+  let rec go a = if M.Mem.slot_of a = slot then a else go (a + page_words) in
+  go (from land lnot (page_words - 1))
 
 (* ---------- Mem ---------- *)
 
@@ -42,8 +47,7 @@ let test_mem_unmapped_reads_free () =
 let test_mem_cross_page_interleaving () =
   let m = M.Mem.create () in
   let a = 0x0100_0000 and b = 0x0100_0000 + (4 * page_words) in
-  (* Alternate between two pages so every access evicts the other page
-     from the one-entry cache; values must never leak across. *)
+  (* Alternate between two pages; values must never leak across. *)
   for i = 0 to 63 do
     M.Mem.write m (a + i) (1000 + i);
     M.Mem.write m (b + i) (2000 + i)
@@ -64,6 +68,112 @@ let test_mem_clear_invalidates () =
   Alcotest.(check int) "clear drops the footprint" 0 (M.Mem.footprint_words m);
   M.Mem.write m a 9;
   Alcotest.(check int) "memory is reusable after clear" 9 (M.Mem.read m a)
+
+let test_mem_slot_collisions () =
+  let m = M.Mem.create () in
+  let a = L.heap_base in
+  let b = page_in_slot ~from:(a + page_words) (M.Mem.slot_of a) in
+  Alcotest.(check int) "same slot" (M.Mem.slot_of a) (M.Mem.slot_of b);
+  for i = 0 to 63 do
+    M.Mem.write m (a + i) (1000 + i);
+    M.Mem.write m (b + i) (2000 + i)
+  done;
+  for i = 0 to 63 do
+    Alcotest.(check int) "colliding page A" (1000 + i) (M.Mem.read m (a + i));
+    Alcotest.(check int) "colliding page B" (2000 + i) (M.Mem.read m (b + i))
+  done
+
+(* The pages the hot loop alternates between — the top pages of the
+   regular and safe stacks, the first heap and globals pages — each get a
+   slot of their own, with and without the ASLR slide. *)
+let test_mem_hot_pages_separate () =
+  List.iter
+    (fun slide ->
+      let hot =
+        [ ("stack top", L.stack_top - 1); ("safe stack top", L.safe_stack_top - 1);
+          ("heap", L.heap_base); ("globals", L.globals_base) ]
+      in
+      let slots =
+        List.map (fun (name, a) -> (name, M.Mem.slot_of (a + slide))) hot
+      in
+      List.iter
+        (fun (n1, s1) ->
+          List.iter
+            (fun (n2, s2) ->
+              if n1 < n2 && s1 = s2 then
+                Alcotest.failf "slide %#x: %s and %s share slot %d" slide n1
+                  n2 s1)
+            slots)
+        slots)
+    [ 0; L.aslr_slide ]
+
+let test_mem_miss_after_eviction () =
+  let m = M.Mem.create () in
+  let a = L.heap_base in
+  let b = page_in_slot ~from:(a + page_words) (M.Mem.slot_of a) in
+  M.Mem.write m a 5;
+  let fp = M.Mem.footprint_words m in
+  (* [b] shares [a]'s slot and is unmapped: the miss neither allocates nor
+     caches a phantom page, and [a] is still readable afterwards. *)
+  Alcotest.(check int) "unmapped colliding page reads 0" 0 (M.Mem.read m b);
+  Alcotest.(check int) "miss allocates no page" fp (M.Mem.footprint_words m);
+  Alcotest.(check int) "evicted page reads back" 5 (M.Mem.read m a);
+  M.Mem.write m b 6;
+  Alcotest.(check int) "write after the miss allocates" (fp + page_words)
+    (M.Mem.footprint_words m);
+  Alcotest.(check int) "and sticks" 6 (M.Mem.read m b)
+
+let test_mem_clear_every_slot () =
+  let m = M.Mem.create () in
+  let pages =
+    List.init M.Mem.cache_slots (fun s -> page_in_slot ~from:L.heap_base s)
+  in
+  List.iteri (fun i a -> M.Mem.write m a (i + 1)) pages;
+  List.iteri
+    (fun i a -> Alcotest.(check int) "cached before clear" (i + 1) (M.Mem.read m a))
+    pages;
+  M.Mem.clear m;
+  List.iter
+    (fun a -> Alcotest.(check int) "every slot invalidated" 0 (M.Mem.read m a))
+    pages;
+  Alcotest.(check int) "no pages left" 0 (M.Mem.footprint_words m)
+
+(* ---------- Shadow ---------- *)
+
+let shadow_meta sh addr =
+  let p = M.Shadow.page sh addr and o = M.Shadow.offset addr in
+  ( p.(o + M.Meta.w_lower), p.(o + M.Meta.w_upper), p.(o + M.Meta.w_tid),
+    p.(o + M.Meta.w_kind) )
+
+let test_shadow_store_load () =
+  let sh = M.Shadow.create () in
+  let a = L.safe_stack_top - 3 in
+  M.Shadow.set sh a ~lower:100 ~upper:108 ~tid:4 ~kind:M.Meta.k_data;
+  Alcotest.(check (list int)) "metadata reads back" [ 100; 108; 4; M.Meta.k_data ]
+    (let l, u, t, k = shadow_meta sh a in [ l; u; t; k ]);
+  let _, _, _, k = shadow_meta sh (a + 1) in
+  Alcotest.(check int) "neighbour has none" M.Meta.k_none k;
+  M.Shadow.clear_at sh a;
+  let _, _, _, k = shadow_meta sh a in
+  Alcotest.(check int) "store without metadata clears it" M.Meta.k_none k
+
+let test_shadow_absent_and_free () =
+  let sh = M.Shadow.create () in
+  let a = L.safe_stack_top - 3 in
+  let _, _, _, k = shadow_meta sh a in
+  Alcotest.(check int) "absent entry reads none" M.Meta.k_none k;
+  Alcotest.(check int) "read allocates no page" 0 (M.Shadow.pages_allocated sh);
+  M.Shadow.clear_at sh a;
+  Alcotest.(check int) "metadata-free store allocates no page" 0
+    (M.Shadow.pages_allocated sh);
+  M.Shadow.set sh a ~lower:1 ~upper:2 ~tid:0 ~kind:M.Meta.k_code;
+  Alcotest.(check int) "store with metadata allocates one page" 1
+    (M.Shadow.pages_allocated sh);
+  let far = a - (1 lsl 16) in
+  let _, _, _, k = shadow_meta sh far in
+  Alcotest.(check int) "other pages still read none" M.Meta.k_none k;
+  let _, _, _, k = shadow_meta sh a in
+  Alcotest.(check int) "and the mapped one survives" M.Meta.k_code k
 
 (* ---------- Safestore ---------- *)
 
@@ -153,7 +263,19 @@ let () =
           Alcotest.test_case "cross-page interleaving" `Quick
             test_mem_cross_page_interleaving;
           Alcotest.test_case "clear invalidates the cache" `Quick
-            test_mem_clear_invalidates ] );
+            test_mem_clear_invalidates;
+          Alcotest.test_case "pages colliding in one slot" `Quick
+            test_mem_slot_collisions;
+          Alcotest.test_case "hot pages use separate slots" `Quick
+            test_mem_hot_pages_separate;
+          Alcotest.test_case "read miss after eviction allocates nothing"
+            `Quick test_mem_miss_after_eviction;
+          Alcotest.test_case "clear invalidates every slot" `Quick
+            test_mem_clear_every_slot ] );
+      ( "shadow",
+        [ Alcotest.test_case "store and load" `Quick test_shadow_store_load;
+          Alcotest.test_case "absent entries and metadata-free stores"
+            `Quick test_shadow_absent_and_free ] );
       ( "safestore",
         [ Alcotest.test_case "set/get/clear_at" `Quick
             test_store_set_get_clear;
