@@ -77,8 +77,7 @@ let ripe_protections =
 
 let ripe_runs =
   lazy
-    (let pool = Engine.pool (Lazy.force eng) in
-     Pool.map pool
+    (Pool.map (Engine.pool (Lazy.force eng))
        (fun prot ->
          let t0 = Unix.gettimeofday () in
          let s =
@@ -86,10 +85,7 @@ let ripe_runs =
              (R.run_matrix ~include_beyond_ripe:false ~protections:[ prot ] ())
          in
          (s, int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
-       ripe_protections
-     |> List.map (function
-          | Ok run -> run
-          | Error e -> raise e))
+       ripe_protections)
 
 let ripe_summaries = lazy (List.map fst (Lazy.force ripe_runs))
 
@@ -102,17 +98,16 @@ let ripe_journal_entry ((s : R.summary), wall_us) : Journal.entry =
     | P.Cps | P.Cpi | P.Cpi_crypt | P.Softbound -> true
     | _ -> false
   in
-  { Journal.workload = "ripe-matrix";
+  { Journal.blank with
+    Journal.workload = "ripe-matrix";
     protection = P.protection_name s.R.protection;
     store = "array";
     outcome =
       Printf.sprintf "hijacked=%d trapped=%d crashed=%d of %d" s.R.hijacked
         s.R.trapped_count s.R.crashed s.R.total;
     status = (if must_stop_all && s.R.hijacked > 0 then 1 else 0);
-    cycles = 0; instrs = 0; mem_ops = 0; instrumented_mem_ops = 0;
-    store_accesses = 0; store_footprint = 0; heap_peak = 0; checksum = 0;
-    checks_elided = 0; mem_ops_demoted = 0; threads = 0; ctx_switches = 0;
-    races = 0; attempts = 1; wall_us }
+    attempts = 1;
+    wall_us }
 
 let bench_ripe () =
   header "RIPE-style attack matrix (paper Section 5.1)";

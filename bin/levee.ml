@@ -401,26 +401,17 @@ let run_conc args =
         else [ (prot, M.Safestore.Simple_array) ])
       [ P.Vanilla; P.Safe_stack; P.Cps; P.Cpi ]
   in
-  let pool = Pool.create ~jobs:!jobs in
-  let outcomes =
-    Pool.map pool
-      (fun (prot, store_impl) ->
-        let b = P.build ~store_impl prot prog in
-        let r =
-          M.Interp.run_program ~sched_seed:!seed ~fuel:w.W.Workload.fuel
-            b.P.prog b.P.config
-        in
-        (b.P.stats, r))
-      cells
-  in
-  Pool.shutdown pool;
   let runs =
-    List.map2
-      (fun (prot, store_impl) outcome ->
-        match outcome with
-        | Ok (st, r) -> (prot, store_impl, st, r)
-        | Error e -> raise e)
-      cells outcomes
+    Pool.with_pool ~jobs:!jobs (fun pool ->
+        Pool.map pool
+          (fun (prot, store_impl) ->
+            let b = P.build ~store_impl prot prog in
+            let r =
+              M.Interp.run_program ~sched_seed:!seed ~fuel:w.W.Workload.fuel
+                b.P.prog b.P.config
+            in
+            (prot, store_impl, b.P.stats, r))
+          cells)
   in
   let base =
     match runs with (_, _, _, r) :: _ -> r | [] -> assert false
@@ -444,7 +435,7 @@ let run_conc args =
       if not (check r) then incr bad;
       Journal.record j
         (Engine.journal_entry ~workload:w.W.Workload.name ~protection:prot
-           ~store:store_impl ~status:(if check r then 0 else 1) ~attempts:1
+           ~store:store_impl ~status:(if check r then 0 else 1)
            ~wall_us:0 st r))
     runs;
   if !json then print_string (Journal.to_json j)
@@ -573,10 +564,16 @@ let () =
     | "-input" :: spec :: rest ->
       input :=
         Array.of_list
-          (List.map int_of_string
+          (List.map
+             (fun s ->
+               match int_of_string_opt s with Some n -> n | None -> usage ())
              (List.filter (fun s -> s <> "") (String.split_on_char ',' spec)));
       parse rest
-    | "-fuel" :: n :: rest -> fuel := int_of_string n; parse rest
+    | "-fuel" :: n :: rest ->
+      (match int_of_string_opt n with
+       | Some n -> fuel := n
+       | None -> usage ());
+      parse rest
     | ("-sched-seed" | "--sched-seed") :: n :: rest ->
       (match int_of_string_opt n with
        | Some n -> sched_seed := n
@@ -601,7 +598,7 @@ let () =
   let annotated = checked.Levee_minic.Typecheck.sensitive_structs in
   let journal_entry prot st r wall_us =
     Engine.journal_entry ~workload:(Filename.basename file) ~protection:prot
-      ~store:!store_impl ~status:(Engine.exit_status r) ~attempts:1 ~wall_us
+      ~store:!store_impl ~status:(Engine.exit_status r) ~wall_us
       st r
   in
   let write_journal entries =
@@ -623,31 +620,22 @@ let () =
   if !matrix then begin
     (* Build + run the file under every protection, fanned out over the
        pool; vanilla is the behavioural reference. *)
-    let pool = Pool.create ~jobs:!jobs in
-    let prots = P.all_protections in
-    let outcomes =
-      Pool.map pool
-        (fun prot ->
-          let t0 = Unix.gettimeofday () in
-          let b =
-            P.build ~annotated ~store_impl:!store_impl ~isolation:!isolation
-              prot prog
-          in
-          let r =
-            M.Interp.run_program ~input:!input ~fuel:!fuel
-              ~sched_seed:!sched_seed b.P.prog b.P.config
-          in
-          (b.P.stats, r, int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
-        prots
-    in
-    Pool.shutdown pool;
     let runs =
-      List.map2
-        (fun prot outcome ->
-          match outcome with
-          | Ok (st, r, wall) -> (prot, st, r, wall)
-          | Error e -> raise e)
-        prots outcomes
+      Pool.with_pool ~jobs:!jobs (fun pool ->
+          Pool.map pool
+            (fun prot ->
+              let t0 = Unix.gettimeofday () in
+              let b =
+                P.build ~annotated ~store_impl:!store_impl
+                  ~isolation:!isolation prot prog
+              in
+              let r =
+                M.Interp.run_program ~input:!input ~fuel:!fuel
+                  ~sched_seed:!sched_seed b.P.prog b.P.config
+              in
+              ( prot, b.P.stats, r,
+                int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) ))
+            P.all_protections)
     in
     let base =
       match List.find_opt (fun (p, _, _, _) -> p = P.Vanilla) runs with

@@ -292,14 +292,10 @@ let run ?(jobs = 1) ?(protections = [ P.Vanilla; P.Cpi ]) ?(seeds = default_seed
       (fun (s, (keys, _)) -> List.map (fun p -> ((s, keys), p)) protections)
       statics
   in
-  let pool = Pool.create ~jobs in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map pool (fun c -> exec_cell c seeds) cells)
-  in
   let flat =
-    List.concat_map (function Ok rs -> rs | Error exn -> raise exn) results
+    List.concat
+      (Pool.with_pool ~jobs (fun pool ->
+           Pool.map pool (fun c -> exec_cell c seeds) cells))
   in
   let verdicts =
     List.map
@@ -362,27 +358,42 @@ let all_cells rep = List.concat_map (fun v -> v.v_cells) rep.rep_verdicts
 
 let exit0 = M.Trap.outcome_to_string (M.Trap.Exit 0)
 
+(* Each verdict's JSON key is its description. *)
 let invariants rep =
   let cells = all_cells rep in
-  [ ( "every dynamic race is statically covered",
-      List.for_all (fun c -> c.c_uncovered = []) cells );
-    ( "static verdict matches the corpus expectation",
-      List.for_all
-        (fun v -> v.v_racy = (v.v_static <> []))
-        rep.rep_verdicts );
-    ( "every racy subject is dynamically witnessed",
-      List.for_all
-        (fun v ->
-          (not v.v_racy) || List.exists (fun c -> c.c_races <> []) v.v_cells)
-        rep.rep_verdicts );
-    ( "race-free subjects stay dynamically silent",
-      List.for_all
-        (fun v -> v.v_racy || List.for_all (fun c -> c.c_races = []) v.v_cells)
-        rep.rep_verdicts );
-    ( "all runs exit 0",
-      List.for_all (fun c -> c.c_outcome = exit0) cells ) ]
+  List.map
+    (fun (name, ok) -> (name, name, ok))
+    [ ( "every dynamic race is statically covered",
+        List.for_all (fun c -> c.c_uncovered = []) cells );
+      ( "static verdict matches the corpus expectation",
+        List.for_all
+          (fun v -> v.v_racy = (v.v_static <> []))
+          rep.rep_verdicts );
+      ( "every racy subject is dynamically witnessed",
+        List.for_all
+          (fun v ->
+            (not v.v_racy)
+            || List.exists (fun c -> c.c_races <> []) v.v_cells)
+          rep.rep_verdicts );
+      ( "race-free subjects stay dynamically silent",
+        List.for_all
+          (fun v ->
+            v.v_racy || List.for_all (fun c -> c.c_races = []) v.v_cells)
+          rep.rep_verdicts );
+      ( "all runs exit 0",
+        List.for_all (fun c -> c.c_outcome = exit0) cells ) ]
 
-let invariants_ok rep = List.for_all snd (invariants rep)
+let invariants_ok rep = List.for_all (fun (_, _, ok) -> ok) (invariants rep)
+
+(* [invariants] plus, when the faults link was computed, its verdict. *)
+let invariants_with ?faults rep =
+  invariants rep
+  @
+  match faults with
+  | None -> []
+  | Some fcs ->
+    let name = "certified implies no cpi hijack" in
+    [ (name, name, faults_consistent fcs) ]
 
 (* ---------- reports ---------- *)
 
@@ -413,12 +424,8 @@ let faults_json fc =
       J.bool "cpi_hijacked" fc.fc_cpi_hijacked ]
 
 let to_json ?faults rep =
-  let inv = List.map (fun (n, ok) -> J.bool n ok) (invariants rep) in
   let inv =
-    match faults with
-    | None -> inv
-    | Some fcs ->
-      inv @ [ J.bool "certified implies no cpi hijack" (faults_consistent fcs) ]
+    List.map (fun (key, _, ok) -> J.bool key ok) (invariants_with ?faults rep)
   in
   String.concat ""
     ([ "{\n\"schema\":\"" ^ schema_id ^ "\",\n";
@@ -461,19 +468,12 @@ let to_human ?faults rep =
               (if fc.fc_replay_ok then "ok" else "FAILED")
               (if fc.fc_cpi_hijacked then "YES" else "no")))
        fcs);
-  let inv = invariants rep in
-  let inv =
-    match faults with
-    | None -> inv
-    | Some fcs ->
-      inv @ [ ("certified implies no cpi hijack", faults_consistent fcs) ]
-  in
   List.iter
-    (fun (name, ok) ->
+    (fun (_, name, ok) ->
       Buffer.add_string b
         (Printf.sprintf "  invariant: %-45s %s\n" name
            (if ok then "ok" else "VIOLATED")))
-    inv;
+    (invariants_with ?faults rep);
   Buffer.contents b
 
 let to_record ?commit rep =

@@ -98,8 +98,9 @@ val faults_consistent : faults_cross list -> bool
 
 (** The invariants, in order: soundness (every dynamic race statically
     covered), static-verdict-matches-corpus, racy-subjects-witnessed,
-    guarded-subjects-silent, all-runs-exit-0. *)
-val invariants : report -> (string * bool) list
+    guarded-subjects-silent, all-runs-exit-0. Each is
+    [(json_key, description, ok)], the key being the description. *)
+val invariants : report -> (string * string * bool) list
 
 val invariants_ok : report -> bool
 

@@ -23,16 +23,16 @@ let cell ?(store_impl = M.Safestore.Simple_array) workload protection =
 type exec = {
   result : M.Interp.result;
   stats : Levee_core.Stats.t;  (* static statistics of the built program *)
-  attempts : int;              (* executions before this result (retry accounting) *)
   wall_us : int;
 }
+
+(* Harness failures of one workload before its later cells are
+   quarantined. *)
+let quarantine_after = 3
 
 type t = {
   pool : Pool.t;
   fuel_cap : int option;
-  task_timeout : float option;               (* per-cell watchdog budget *)
-  retries : int;                             (* extra attempts on exception *)
-  quarantine_after : int;                    (* failures before quarantine *)
   m : Mutex.t;                               (* guards memo + failures *)
   memo : (string * string, exec) Hashtbl.t;
   fail_counts : (string, int) Hashtbl.t;     (* workload -> harness failures *)
@@ -41,10 +41,8 @@ type t = {
   mutable rev_harness_failures : (string * string) list;
 }
 
-let create ?fuel_cap ?task_timeout ?(retries = 0) ?(quarantine_after = 3)
-    ~jobs () =
-  { pool = Pool.create ~jobs; fuel_cap; task_timeout; retries;
-    quarantine_after = max 1 quarantine_after; m = Mutex.create ();
+let create ?fuel_cap ~jobs () =
+  { pool = Pool.create ~jobs; fuel_cap; m = Mutex.create ();
     memo = Hashtbl.create 64; fail_counts = Hashtbl.create 8; journal = None;
     rev_vanilla_failures = []; rev_harness_failures = [] }
 
@@ -71,12 +69,12 @@ let exec_cell t c =
     M.Interp.run_program ~input:w.W.Workload.input ~fuel b.P.prog b.P.config
   in
   let wall_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  { result; stats = b.P.stats; attempts = 1; wall_us }
+  { result; stats = b.P.stats; wall_us }
 
 let exit_status (r : M.Interp.result) =
   match r.M.Interp.outcome with M.Trap.Exit 0 -> 0 | _ -> 1
 
-let journal_entry ~workload ~protection ~store ~status ~attempts ~wall_us
+let journal_entry ~workload ~protection ~store ~status ~wall_us
     (st : Levee_core.Stats.t) (r : M.Interp.result) : Journal.entry =
   { Journal.workload;
     protection = P.protection_name protection;
@@ -96,12 +94,12 @@ let journal_entry ~workload ~protection ~store ~status ~attempts ~wall_us
     threads = r.M.Interp.threads;
     ctx_switches = r.M.Interp.ctx_switches;
     races = r.M.Interp.races;
-    attempts;
+    attempts = 1;
     wall_us }
 
 let entry_of c (e : exec) =
   journal_entry ~workload:c.workload.W.Workload.name ~protection:c.protection
-    ~store:c.store_impl ~status:(exit_status e.result) ~attempts:e.attempts
+    ~store:c.store_impl ~status:(exit_status e.result)
     ~wall_us:e.wall_us e.stats e.result
 
 (* Integrate one freshly executed cell: memoize, journal, track vanilla
@@ -151,16 +149,14 @@ let note_failure t c ~reason ~attempts =
     (w ^ "/" ^ P.protection_name c.protection, reason)
     :: t.rev_harness_failures;
   Mutex.unlock t.m;
-  let r : Journal.entry =
-    { Journal.workload = w;
+  let r =
+    { Journal.blank with
+      Journal.workload = w;
       protection = P.protection_name c.protection;
       store = M.Safestore.impl_name c.store_impl;
       outcome = reason;
-      status = 1; cycles = 0; instrs = 0; mem_ops = 0;
-      instrumented_mem_ops = 0; store_accesses = 0;
-      store_footprint = 0; heap_peak = 0; checksum = 0;
-      checks_elided = 0; mem_ops_demoted = 0; threads = 0;
-      ctx_switches = 0; races = 0; attempts; wall_us = 0 }
+      status = 1;
+      attempts }
   in
   match t.journal with Some j -> Journal.record j r | None -> ()
 
@@ -176,39 +172,33 @@ let prefetch t cells =
         else (Hashtbl.add seen k (); true))
       cells
   in
-  (* Quarantine: a workload whose harness failures (exceptions/timeouts,
-     not simulated traps) reached the threshold in *earlier* batches is
+  (* Quarantine: a workload whose harness failures (exceptions, not
+     simulated traps) reached the threshold in *earlier* batches is
      not executed again — its cells are reported as quarantined. The
      check reads counts updated in submission order, so the decision is
      deterministic and identical for every [jobs]. *)
   let quarantined, runnable =
     List.partition
-      (fun c -> fail_count t c.workload.W.Workload.name >= t.quarantine_after)
+      (fun c -> fail_count t c.workload.W.Workload.name >= quarantine_after)
       fresh
   in
   List.iter
     (fun c -> note_failure t c ~reason:"quarantined" ~attempts:0)
     quarantined;
-  let outcomes =
-    Pool.run_guarded ?timeout:t.task_timeout ~retries:t.retries t.pool
-      (List.map (fun c () -> exec_cell t c) runnable)
+  let results =
+    Pool.run t.pool (List.map (fun c () -> exec_cell t c) runnable)
   in
   List.iter2
-    (fun c (o : _ Pool.outcome) ->
-      match o.Pool.result with
-      | Ok e -> note t c { e with attempts = o.Pool.attempts }
-      | Error (Pool.Exn exn) ->
+    (fun c -> function
+      | Ok e -> note t c e
+      | Error exn ->
         (* A crashed harness task (compile/build bug) must not take the
            whole run down: journal it as a failed cell and move on. The
            cell stays unmemoized, so a later direct lookup re-raises. *)
         note_failure t c
           ~reason:("harness-exception(" ^ Printexc.to_string exn ^ ")")
-          ~attempts:o.Pool.attempts
-      | Error (Pool.Timed_out s) ->
-        note_failure t c
-          ~reason:(Printf.sprintf "timed-out(%.1fs)" s)
-          ~attempts:o.Pool.attempts)
-    runnable outcomes
+          ~attempts:1)
+    runnable results
 
 let run_workload t ?(store_impl = M.Safestore.Simple_array) w protection =
   let c = { workload = w; protection; store_impl } in

@@ -24,16 +24,12 @@ type t
 
 (** [create ~jobs ()] builds an engine around a [jobs]-wide pool.
     [fuel_cap], if given, clamps every workload's instruction budget (the
-    tiny-fuel CI smoke path). [task_timeout] arms the pool's per-cell
-    watchdog (seconds; needs [jobs > 1]): a stuck cell is journalled as
-    [timed-out(..)] instead of hanging the batch. [retries] re-runs a
-    cell whose harness task raised, with deterministic backoff.
-    [quarantine_after] (default 3) stops executing a workload once that
-    many of its cells failed in the harness (exceptions or timeouts, not
-    simulated traps); further cells are journalled as [quarantined]. *)
-val create :
-  ?fuel_cap:int -> ?task_timeout:float -> ?retries:int ->
-  ?quarantine_after:int -> jobs:int -> unit -> t
+    tiny-fuel CI smoke path). Every cell is a deterministic function of
+    its workload, so a cell is executed once: a harness task that raises
+    is journalled as [harness-exception(..)], and once three cells of a
+    workload failed that way (exceptions, not simulated traps) its
+    further cells are journalled as [quarantined] without running. *)
+val create : ?fuel_cap:int -> jobs:int -> unit -> t
 
 val jobs : t -> int
 val pool : t -> Levee_support.Pool.t
@@ -47,7 +43,7 @@ val exit_status : M.Interp.result -> int
     more than its exit (e.g. `levee conc`) pass their own [status]. *)
 val journal_entry :
   workload:string -> protection:P.protection -> store:M.Safestore.impl ->
-  status:int -> attempts:int -> wall_us:int ->
+  status:int -> wall_us:int ->
   Levee_core.Stats.t -> M.Interp.result -> Levee_support.Journal.entry
 
 (** Route subsequent executions' records to [j] (one journal per bench
@@ -72,7 +68,7 @@ val overhead : t -> W.Workload.t -> P.protection -> float
     broken and the process should exit non-zero. *)
 val vanilla_failures : t -> (string * M.Trap.outcome) list
 
-(** Cells the harness itself failed to execute (exception, timeout or
+(** Cells the harness itself failed to execute (exception or
     quarantine), as [("workload/protection", reason)] pairs in discovery
     order. These are also journalled with status 1, so the journal still
     covers the full matrix. *)

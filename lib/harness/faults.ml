@@ -350,16 +350,9 @@ let run ?(jobs = 1) campaign =
       (fun s -> List.map (fun cfg -> (s, cfg)) campaign.configs)
       campaign.subjects
   in
-  let pool = Pool.create ~jobs in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map pool exec_config cells)
-  in
   let rep_runs =
-    List.concat_map
-      (function Ok rs -> rs | Error exn -> raise exn)
-      results
+    List.concat
+      (Pool.with_pool ~jobs (fun pool -> Pool.map pool exec_config cells))
   in
   { rep_campaign = campaign; rep_runs }
 
@@ -369,21 +362,25 @@ let isolation_str = M.Trap.outcome_to_string (M.Trap.Trapped M.Trap.Isolation_vi
 
 let invariants rep =
   let rs = rep.rep_runs in
-  [ ( "cpi implies no hijack (attacker-model plans)",
+  [ ( "cpi_no_hijack",
+      "cpi implies no hijack (attacker-model plans)",
       not
         (List.exists
            (fun r ->
              r.r_protection = P.Cpi && r.r_model && r.r_class = "hijacked")
            rs) );
-    ( "vanilla hijack witnessed",
+    ( "vanilla_hijack_witnessed",
+      "vanilla hijack witnessed",
       List.exists
         (fun r -> r.r_protection = P.Vanilla && r.r_class = "hijacked")
         rs );
-    ( "safe-region tamper traps as isolation violation",
+    ( "safe_tamper_isolation",
+      "safe-region tamper traps as isolation violation",
       List.for_all
         (fun r -> (not r.r_tamper) || r.r_outcome = isolation_str)
         rs );
-    ( "vanilla hijack witnessed under every sched seed",
+    ( "vanilla_hijack_every_seed",
+      "vanilla hijack witnessed under every sched seed",
       List.for_all
         (fun seed ->
           List.exists
@@ -396,7 +393,8 @@ let invariants rep =
     (* Keyed in-place encryption keeps no safe store, so a plan made only
        of metadata attacks (Desync/Drop_meta) hits nothing: the run must
        be observationally identical to the un-faulted baseline. *)
-    ( "cpi-crypt masks pure metadata-drop plans",
+    ( "crypt_masks_metadata_drop",
+      "cpi-crypt masks pure metadata-drop plans",
       List.for_all
         (fun r ->
           (not (r.r_protection = P.Cpi_crypt && r.r_meta))
@@ -405,7 +403,8 @@ let invariants rep =
     (* ... while the same plans do disturb a safe-region backend: the
        campaign must witness CPI actually depending on its metadata
        (otherwise the previous invariant is vacuous). *)
-    ( "safe-region metadata corruption witnessed (cpi)",
+    ( "cpi_metadata_witness",
+      "safe-region metadata corruption witnessed (cpi)",
       List.exists
         (fun r ->
           r.r_protection = P.Cpi && r.r_meta && r.r_class <> "masked")
@@ -414,7 +413,8 @@ let invariants rep =
        coarse CFI while the per-signature sets refuse it (the
        cross-signature redirects — backdoor is a function entry, but the
        wrong type). *)
-    ( "coarse cfi admits a hijack cfi-type refuses",
+    ( "coarse_cfi_gap",
+      "coarse cfi admits a hijack cfi-type refuses",
       List.exists
         (fun r ->
           r.r_protection = P.Cfi && r.r_class = "hijacked"
@@ -428,7 +428,8 @@ let invariants rep =
     (* ... and upper bound: the same-signature swap stays inside the type
        set, so cfi-type is pierced where the pointer-centric backends are
        not — set precision cannot substitute for pointer integrity. *)
-    ( "same-signature hijack pierces cfi-type but not cpi/cpi-crypt",
+    ( "same_sig_pierces_cfi_type",
+      "same-signature hijack pierces cfi-type but not cpi/cpi-crypt",
       List.exists
         (fun r ->
           r.r_protection = P.Cfi_type && r.r_plan = "same-sig-hijack"
@@ -444,14 +445,15 @@ let invariants rep =
        metadata attacks (outside the software attacker model) find no
        table to corrupt, and tampered ciphertext decrypts to garbled
        targets that trap rather than hijack. *)
-    ( "cpi-crypt never hijacked (all plans)",
+    ( "cpi_crypt_no_hijack",
+      "cpi-crypt never hijacked (all plans)",
       not
         (List.exists
            (fun r -> r.r_protection = P.Cpi_crypt && r.r_class = "hijacked")
            rs) );
   ]
 
-let invariants_ok rep = List.for_all snd (invariants rep)
+let invariants_ok rep = List.for_all (fun (_, _, ok) -> ok) (invariants rep)
 
 (* ---------- reporting ---------- *)
 
@@ -503,15 +505,7 @@ let to_json rep =
       P.all_protections
   in
   let inv_json =
-    (* Paired with [invariants] by position: one stable key per verdict,
-       in the same order the invariants are declared. *)
-    let keys =
-      [ "cpi_no_hijack"; "vanilla_hijack_witnessed"; "safe_tamper_isolation";
-        "vanilla_hijack_every_seed"; "crypt_masks_metadata_drop";
-        "cpi_metadata_witness"; "coarse_cfi_gap"; "same_sig_pierces_cfi_type";
-        "cpi_crypt_no_hijack" ]
-    in
-    List.map2 (fun key (_, ok) -> J.bool key ok) keys (invariants rep)
+    List.map (fun (key, _, ok) -> J.bool key ok) (invariants rep)
   in
   String.concat ""
     [ Printf.sprintf "{\n\"schema\":\"%s\",\n" schema_id;
@@ -595,7 +589,7 @@ let to_human rep =
            (n "fuel-exhausted")))
     c.configs;
   List.iter
-    (fun (name, ok) ->
+    (fun (_, name, ok) ->
       Buffer.add_string b
         (Printf.sprintf "  invariant: %-48s %s\n" name
            (if ok then "OK" else "VIOLATED")))

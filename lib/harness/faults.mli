@@ -96,8 +96,10 @@ val run : ?jobs:int -> campaign -> report
     (no safe region to drop), CPI's metadata dependence is witnessed,
     coarse CFI admits a hijack cfi-type refuses, the same-signature swap
     pierces cfi-type but not cpi/cpi-crypt (Burow et al. ordering), and
-    cpi-crypt is never hijacked under any plan. *)
-val invariants : report -> (string * bool) list
+    cpi-crypt is never hijacked under any plan. Each is
+    [(json_key, description, ok)]: the JSON document, the human table
+    and {!invariants_ok} all derive from this one list. *)
+val invariants : report -> (string * string * bool) list
 
 val invariants_ok : report -> bool
 

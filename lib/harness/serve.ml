@@ -533,14 +533,8 @@ let run ?(jobs = 1) cfg =
       (fun prot -> List.map (fun seed -> (prot, seed)) cfg.seeds)
       cfg.protections
   in
-  let pool = Pool.create ~jobs in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map pool (exec_cell cfg) cells)
-  in
   let rep_cells =
-    List.map (function Ok c -> c | Error exn -> raise exn) results
+    Pool.with_pool ~jobs (fun pool -> Pool.map pool (exec_cell cfg) cells)
   in
   { rep_config = cfg; rep_cells }
 
@@ -557,23 +551,28 @@ let invariants rep =
       (fun c -> if c.c_protection = prot then c.c_probes else [])
       cs
   in
-  [ ( "cpi never hijacked (incl. mid-degradation)",
+  [ ( "cpi_never_hijacked",
+      "cpi never hijacked (incl. mid-degradation)",
       List.for_all (fun p -> p.p_class <> "hijacked") (probes_of P.Cpi) );
-    ( "spectrum backends never hijacked (cfi-type, cpi-crypt)",
+    ( "spectrum_never_hijacked",
+      "spectrum backends never hijacked (cfi-type, cpi-crypt)",
       List.for_all
         (fun p -> p.p_class <> "hijacked")
         (probes_of P.Cfi_type @ probes_of P.Cpi_crypt) );
-    ( "every admitted request terminally accounted",
+    ( "all_accounted",
+      "every admitted request terminally accounted",
       List.for_all accounted cs );
-    ( "vanilla hijack witnessed",
+    ( "vanilla_hijack_witnessed",
+      "vanilla hijack witnessed",
       List.exists (fun p -> p.p_class = "hijacked") (probes_of P.Vanilla) );
-    ( "degraded cells still serve",
+    ( "degraded_cells_still_serve",
+      "degraded cells still serve",
       (not rep.rep_config.faulted)
       || (List.for_all (fun c -> c.c_served > 0) cs
           && List.exists degraded cs) );
   ]
 
-let invariants_ok rep = List.for_all snd (invariants rep)
+let invariants_ok rep = List.for_all (fun (_, _, ok) -> ok) (invariants rep)
 
 (* ---------- reporting ---------- *)
 
@@ -612,11 +611,7 @@ let to_json rep =
                 cl.c_hist)) ]
   in
   let inv_json =
-    List.map2
-      (fun key (_, ok) -> J.bool key ok)
-      [ "cpi_never_hijacked"; "spectrum_never_hijacked"; "all_accounted";
-        "vanilla_hijack_witnessed"; "degraded_cells_still_serve" ]
-      (invariants rep)
+    List.map (fun (key, _, ok) -> J.bool key ok) (invariants rep)
   in
   String.concat ""
     [ Printf.sprintf "{\n\"schema\":\"%s\",\n" schema_id;
@@ -687,7 +682,7 @@ let to_human rep =
         cl.c_probes)
     rep.rep_cells;
   List.iter
-    (fun (name, ok) ->
+    (fun (_, name, ok) ->
       Buffer.add_string b
         (Printf.sprintf "  invariant: %-46s %s\n" name
            (if ok then "OK" else "VIOLATED")))

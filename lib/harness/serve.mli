@@ -81,8 +81,10 @@ val run : ?jobs:int -> config -> report
     mid-degradation), every admitted request terminally accounted
     (served + shed + timed out = arrivals, per cell), vanilla hijack
     witnessed, and — when faults are on — every cell kept serving while
-    at least one cell actually degraded (shed/retried/timed out). *)
-val invariants : report -> (string * bool) list
+    at least one cell actually degraded (shed/retried/timed out). Each is
+    [(json_key, description, ok)]: the JSON document, the human table
+    and {!invariants_ok} all derive from this one list. *)
+val invariants : report -> (string * string * bool) list
 
 val invariants_ok : report -> bool
 

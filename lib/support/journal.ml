@@ -25,6 +25,13 @@ type entry = {
   wall_us : int;
 }
 
+let blank =
+  { workload = ""; protection = ""; store = ""; outcome = ""; status = 0;
+    cycles = 0; instrs = 0; mem_ops = 0; instrumented_mem_ops = 0;
+    store_accesses = 0; store_footprint = 0; heap_peak = 0; checksum = 0;
+    checks_elided = 0; mem_ops_demoted = 0; threads = 0; ctx_switches = 0;
+    races = 0; attempts = 0; wall_us = 0 }
+
 type t = {
   target_name : string;
   jobs_used : int;

@@ -25,9 +25,15 @@ type entry = {
   threads : int;               (** total threads, including main (>= 1) *)
   ctx_switches : int;          (** deterministic-scheduler context switches *)
   races : int;                 (** lockset-detector race reports *)
-  attempts : int;              (** executions before this result (>= 1) *)
+  attempts : int;              (** 1 if the cell executed, 0 if it was
+                                   quarantined without running *)
   wall_us : int;               (** wall-clock microseconds for this cell *)
 }
+
+(** Every string empty, every number 0: the base that entries for cells
+    without a simulated run (harness failures, RIPE matrix summaries)
+    are built from with [{ blank with ... }]. *)
+val blank : entry
 
 type t
 

@@ -50,7 +50,7 @@ let test_invariants () =
   Alcotest.(check bool) "vanilla hijacked by same plans" true
     (hijacked P.Vanilla >= 1);
   List.iter
-    (fun (name, ok) -> Alcotest.(check bool) name true ok)
+    (fun (_, name, ok) -> Alcotest.(check bool) name true ok)
     (Faults.invariants rep);
   Alcotest.(check bool) "invariants_ok" true (Faults.invariants_ok rep)
 
@@ -159,46 +159,33 @@ let broken_workload name : W.Workload.t =
     source = "int main( {"; input = [||]; fuel = 1000 }
 
 let test_engine_quarantine () =
-  let e = Engine.create ~quarantine_after:2 ~jobs:1 () in
+  let e = Engine.create ~jobs:1 () in
   Fun.protect
     ~finally:(fun () -> Engine.shutdown e)
     (fun () ->
       let w = broken_workload "quarantine-me" in
-      (* Two failing cells in the first batch reach the threshold... *)
-      Engine.prefetch e [ Engine.cell w P.Vanilla; Engine.cell w P.Safe_stack ];
+      (* Three failing cells in the first batch reach the threshold... *)
+      Engine.prefetch e
+        [ Engine.cell w P.Vanilla; Engine.cell w P.Safe_stack;
+          Engine.cell w P.Cps ];
       (* ...so a later batch must not execute the workload again. *)
       Engine.prefetch e [ Engine.cell w P.Cpi ];
       match Engine.harness_failures e with
-      | [ (c1, r1); (c2, r2); (c3, r3) ] ->
+      | [ (c1, r1); (c2, r2); (c3, r3); (c4, r4) ] ->
         Alcotest.(check string) "first cell" "quarantine-me/vanilla" c1;
         Alcotest.(check string) "second cell" "quarantine-me/safestack" c2;
-        Alcotest.(check string) "third cell" "quarantine-me/cpi" c3;
+        Alcotest.(check string) "third cell" "quarantine-me/cps" c3;
+        Alcotest.(check string) "fourth cell" "quarantine-me/cpi" c4;
         let is_exn r =
           String.length r >= 17
           && String.sub r 0 17 = "harness-exception"
         in
         Alcotest.(check bool) "first is an exception" true (is_exn r1);
         Alcotest.(check bool) "second is an exception" true (is_exn r2);
-        Alcotest.(check string) "third is quarantined" "quarantined" r3
+        Alcotest.(check bool) "third is an exception" true (is_exn r3);
+        Alcotest.(check string) "fourth is quarantined" "quarantined" r4
       | fs ->
-        Alcotest.failf "expected 3 harness failures, got %d" (List.length fs))
-
-let test_engine_retry_accounting () =
-  (* A failing cell under retries: the harness failure is recorded once,
-     with the attempts count visible in the journal entry. *)
-  let e = Engine.create ~retries:2 ~jobs:1 () in
-  Fun.protect
-    ~finally:(fun () -> Engine.shutdown e)
-    (fun () ->
-      let j = Levee_support.Journal.create ~jobs:1 ~target:"t" () in
-      Engine.set_journal e (Some j);
-      Engine.prefetch e [ Engine.cell (broken_workload "retry-me") P.Vanilla ];
-      match Levee_support.Journal.entries j with
-      | [ entry ] ->
-        Alcotest.(check int) "three attempts journalled" 3
-          entry.Levee_support.Journal.attempts;
-        Alcotest.(check int) "status 1" 1 entry.Levee_support.Journal.status
-      | es -> Alcotest.failf "expected 1 journal entry, got %d" (List.length es))
+        Alcotest.failf "expected 4 harness failures, got %d" (List.length fs))
 
 let () =
   Alcotest.run "faults"
@@ -217,6 +204,5 @@ let () =
           Alcotest.test_case "resolve deterministic" `Quick
             test_resolve_deterministic ] );
       ( "engine",
-        [ Alcotest.test_case "quarantine trips" `Quick test_engine_quarantine;
-          Alcotest.test_case "retry accounting" `Quick
-            test_engine_retry_accounting ] ) ]
+        [ Alcotest.test_case "quarantine trips" `Quick test_engine_quarantine ]
+      ) ]

@@ -9,10 +9,6 @@ exception Boom of int
 let results_testable =
   Alcotest.(list (result int Helpers.exn_testable))
 
-let with_pool jobs f =
-  let p = Pool.create ~jobs in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
 (* Make early tasks slow so out-of-order completion is likely: result
    order must still match submission order. *)
 let staggered_square n i =
@@ -26,40 +22,59 @@ let staggered_square n i =
 
 let test_order jobs () =
   let xs = List.init 20 Fun.id in
-  with_pool jobs (fun p ->
+  Pool.with_pool ~jobs (fun p ->
       let got = Pool.map p (staggered_square 20) xs in
-      Alcotest.check results_testable "submission order"
-        (List.map (fun i -> Ok (i * i)) xs)
+      Alcotest.(check (list int)) "submission order"
+        (List.map (fun i -> i * i) xs)
         got)
 
 let test_exception_isolated () =
-  with_pool 4 (fun p ->
+  Pool.with_pool ~jobs:4 (fun p ->
       let got =
-        Pool.map p
-          (fun i -> if i = 2 then raise (Boom i) else i + 100)
-          [ 0; 1; 2; 3; 4 ]
+        Pool.run p
+          (List.map
+             (fun i () -> if i = 2 then raise (Boom i) else i + 100)
+             [ 0; 1; 2; 3; 4 ])
       in
       Alcotest.check results_testable "raising task captured in its slot"
         [ Ok 100; Ok 101; Error (Boom 2); Ok 103; Ok 104 ]
         got;
       (* the pool must survive the exception and accept another batch *)
       let again = Pool.map p (fun i -> i * 2) [ 1; 2; 3 ] in
-      Alcotest.check results_testable "pool not poisoned"
-        [ Ok 2; Ok 4; Ok 6 ] again)
+      Alcotest.(check (list int)) "pool not poisoned" [ 2; 4; 6 ] again)
+
+(* [map] is fail-fast but not short-circuiting: every task runs, then the
+   first failure in submission order (not completion order) is raised. *)
+let test_map_first_failure jobs () =
+  Pool.with_pool ~jobs (fun p ->
+      let ran = Atomic.make 0 in
+      let f i =
+        (* the later failure finishes first when tasks run in parallel *)
+        if i = 1 then ignore (staggered_square 100 0);
+        Atomic.incr ran;
+        if i = 1 || i = 3 then raise (Boom i) else i
+      in
+      (match Pool.map p f [ 0; 1; 2; 3; 4; 5 ] with
+       | _ -> Alcotest.fail "expected Boom 1"
+       | exception Boom k ->
+         Alcotest.(check int) "first failure in submission order" 1 k);
+      Alcotest.(check int) "every task ran" 6 (Atomic.get ran);
+      Alcotest.(check (list int)) "pool usable afterwards" [ 7; 8 ]
+        (Pool.map p (fun i -> i + 6) [ 1; 2 ]))
 
 let test_matches_sequential () =
   let xs = List.init 57 (fun i -> (i * 7919) land 1023) in
   let f x = (x * x) + (x lsr 3) in
-  let seq = List.map (fun x -> Ok (f x)) xs in
-  with_pool 1 (fun p ->
-      Alcotest.check results_testable "jobs=1 equals List.map" seq
+  let seq = List.map f xs in
+  Pool.with_pool ~jobs:1 (fun p ->
+      Alcotest.(check (list int)) "jobs=1 equals List.map" seq
         (Pool.map p f xs));
-  with_pool 4 (fun p ->
-      Alcotest.check results_testable "jobs=4 equals List.map" seq
+  Pool.with_pool ~jobs:4 (fun p ->
+      Alcotest.(check (list int)) "jobs=4 equals List.map" seq
         (Pool.map p f xs))
 
 let test_empty_and_defaults () =
-  with_pool 3 (fun p ->
+  Pool.with_pool ~jobs:3 (fun p ->
       Alcotest.(check int) "size" 3 (Pool.jobs p);
       Alcotest.check results_testable "empty batch" [] (Pool.run p []));
   Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
@@ -121,155 +136,10 @@ let test_journal_rejects_garbage () =
        "{\"schema\":\"levee-bench-journal/2\",\"target\":\"t\",\"jobs\":1,\
         \"entries\":[]}")
 
-(* ---------- resilience: timeouts, retries, re-entrancy ---------- *)
-
-let is_timed_out = function
-  | { Pool.result = Error (Pool.Timed_out _); _ } -> true
-  | _ -> false
-
-let ok_of = function
-  | { Pool.result = Ok v; _ } -> Some v
-  | _ -> None
-
-let test_timeout_keeps_siblings () =
-  with_pool 2 (fun p ->
-      let stuck () =
-        Unix.sleepf 0.5;
-        -1
-      in
-      let outs =
-        Pool.run_guarded ~timeout:0.05 p
-          [ stuck; (fun () -> 2); (fun () -> 3); (fun () -> 4) ]
-      in
-      Alcotest.(check int) "four slots" 4 (List.length outs);
-      Alcotest.(check bool) "stuck task reported Timed_out" true
-        (is_timed_out (List.nth outs 0));
-      Alcotest.(check (list (option int))) "siblings all survive"
-        [ None; Some 2; Some 3; Some 4 ]
-        (List.map ok_of outs);
-      (* capacity was replaced: the pool still runs full batches *)
-      let again = Pool.map p (fun i -> i * 10) [ 1; 2; 3; 4 ] in
-      Alcotest.check results_testable "pool usable after timeout"
-        [ Ok 10; Ok 20; Ok 30; Ok 40 ] again;
-      (* the abandoned domain drains once its sleep finishes *)
-      let deadline = Unix.gettimeofday () +. 2.0 in
-      while Pool.abandoned p > 0 && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.01
-      done;
-      Alcotest.(check int) "abandoned task drained" 0 (Pool.abandoned p))
-
-let test_timeout_at_last_task () =
-  with_pool 2 (fun p ->
-      (* The stuck task is the LAST slot: the watchdog fires while the
-         rest of the batch has already drained and the submitter is
-         polling for a single remaining slot. *)
-      let outs =
-        Pool.run_guarded ~timeout:0.05 p
-          [ (fun () -> 1); (fun () -> 2); (fun () -> 3);
-            (fun () ->
-              Unix.sleepf 0.5;
-              -1) ]
-      in
-      Alcotest.(check (list (option int))) "only the final slot times out"
-        [ Some 1; Some 2; Some 3; None ]
-        (List.map ok_of outs);
-      Alcotest.(check bool) "final slot reported Timed_out" true
-        (is_timed_out (List.nth outs 3));
-      (* the watchdog replaced the stuck worker: full-width batches run *)
-      let again = Pool.map p (fun i -> i + 1) [ 1; 2; 3; 4 ] in
-      Alcotest.check results_testable "pool usable after last-slot timeout"
-        [ Ok 2; Ok 3; Ok 4; Ok 5 ] again;
-      let deadline = Unix.gettimeofday () +. 2.0 in
-      while Pool.abandoned p > 0 && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.01
-      done;
-      Alcotest.(check int) "abandoned task drained" 0 (Pool.abandoned p))
-
-let test_all_attempts_time_out () =
-  with_pool 2 (fun p ->
-      (* Every task wedges: each slot must report Timed_out with
-         attempts = 1 — the watchdog result bypasses the retry loop, so
-         a requested retry budget must not inflate the accounting. *)
-      let outs =
-        Pool.run_guarded ~timeout:0.05 ~retries:2
-          ~backoff:(fun _ -> 0.0)
-          p
-          [ (fun () ->
-              Unix.sleepf 0.5;
-              1);
-            (fun () ->
-              Unix.sleepf 0.5;
-              2) ]
-      in
-      Alcotest.(check int) "both slots reported" 2 (List.length outs);
-      List.iter
-        (fun o ->
-          Alcotest.(check bool) "slot is Timed_out" true (is_timed_out o);
-          Alcotest.(check int) "timed-out slot counts one attempt" 1
-            o.Pool.attempts)
-        outs;
-      Alcotest.(check int) "both stuck domains tracked as abandoned" 2
-        (Pool.abandoned p);
-      let deadline = Unix.gettimeofday () +. 2.0 in
-      while Pool.abandoned p > 0 && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.01
-      done;
-      Alcotest.(check int) "abandoned tasks drained" 0 (Pool.abandoned p);
-      (* two replacement workers were spawned: capacity is intact *)
-      let again = Pool.map p (fun i -> i * 3) [ 1; 2 ] in
-      Alcotest.check results_testable "pool survives a fully-wedged batch"
-        [ Ok 3; Ok 6 ] again)
-
-let test_retry_deterministic () =
-  (* Same failing-twice thunk under jobs=1 and jobs=2: identical outcome
-     shape, identical backoff schedule. *)
-  let run_once jobs =
-    let tries = ref 0 in
-    let slept = ref [] in
-    let backoff k =
-      slept := k :: !slept;
-      0.0
-    in
-    let outs =
-      with_pool jobs (fun p ->
-          Pool.run_guarded ~retries:3 ~backoff p
-            [ (fun () ->
-                incr tries;
-                if !tries < 3 then raise (Boom !tries) else 777) ])
-    in
-    (List.hd outs, List.rev !slept)
-  in
-  List.iter
-    (fun jobs ->
-      let o, ks = run_once jobs in
-      Alcotest.(check (option int))
-        (Printf.sprintf "jobs=%d succeeds on third attempt" jobs)
-        (Some 777) (ok_of o);
-      Alcotest.(check int)
-        (Printf.sprintf "jobs=%d attempts counted" jobs)
-        3 o.Pool.attempts;
-      Alcotest.(check (list int))
-        (Printf.sprintf "jobs=%d backoff called with 1,2" jobs)
-        [ 1; 2 ] ks)
-    [ 1; 2 ]
-
-let test_retries_exhausted () =
-  with_pool 1 (fun p ->
-      let outs =
-        Pool.run_guarded ~retries:2 ~backoff:(fun _ -> 0.0) p
-          [ (fun () -> raise (Boom 9)) ]
-      in
-      match outs with
-      | [ { Pool.result = Error (Pool.Exn (Boom 9)); attempts = 3 } ] -> ()
-      | _ -> Alcotest.fail "expected Error (Boom 9) after 3 attempts")
-
-let test_default_backoff () =
-  Alcotest.(check (list (float 1e-9))) "doubling, no jitter"
-    [ 0.01; 0.02; 0.04; 0.08 ]
-    (List.map Pool.default_backoff [ 1; 2; 3; 4 ])
+(* ---------- re-entrancy ---------- *)
 
 let test_reentrant_rejected jobs () =
-  with_pool jobs (fun p ->
+  Pool.with_pool ~jobs (fun p ->
       let got = Pool.run p [ (fun () -> Pool.run p [ (fun () -> 1) ]) ] in
       (match got with
        | [ Error (Invalid_argument msg) ] ->
@@ -277,7 +147,7 @@ let test_reentrant_rejected jobs () =
            (String.length msg >= 8 && String.sub msg 0 8 = "Pool.run")
        | _ -> Alcotest.fail "expected Error Invalid_argument");
       (* the pool survives the rejected call *)
-      Alcotest.check results_testable "pool not poisoned" [ Ok 5 ]
+      Alcotest.(check (list int)) "pool not poisoned" [ 5 ]
         (Pool.map p (fun i -> i + 4) [ 1 ]))
 
 let () =
@@ -287,24 +157,16 @@ let () =
           Alcotest.test_case "order jobs=4" `Quick (test_order 4);
           Alcotest.test_case "exception isolated" `Quick
             test_exception_isolated;
+          Alcotest.test_case "map raises first failure jobs=1" `Quick
+            (test_map_first_failure 1);
+          Alcotest.test_case "map raises first failure jobs=4" `Quick
+            (test_map_first_failure 4);
           Alcotest.test_case "equals sequential map" `Quick
             test_matches_sequential;
           Alcotest.test_case "empty batch & defaults" `Quick
             test_empty_and_defaults ] );
       ( "resilience",
-        [ Alcotest.test_case "timeout keeps siblings" `Quick
-            test_timeout_keeps_siblings;
-          Alcotest.test_case "timeout at the last task" `Quick
-            test_timeout_at_last_task;
-          Alcotest.test_case "every attempt times out" `Quick
-            test_all_attempts_time_out;
-          Alcotest.test_case "deterministic retry/backoff" `Quick
-            test_retry_deterministic;
-          Alcotest.test_case "retries exhausted" `Quick
-            test_retries_exhausted;
-          Alcotest.test_case "default backoff schedule" `Quick
-            test_default_backoff;
-          Alcotest.test_case "re-entrant run rejected jobs=1" `Quick
+        [ Alcotest.test_case "re-entrant run rejected jobs=1" `Quick
             (test_reentrant_rejected 1);
           Alcotest.test_case "re-entrant run rejected jobs=2" `Quick
             (test_reentrant_rejected 2) ] );

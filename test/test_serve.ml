@@ -163,7 +163,7 @@ let test_golden_latency_histogram () =
 let test_invariants_hold () =
   let rep = Lazy.force smoke_report in
   List.iter
-    (fun (name, ok) ->
+    (fun (_, name, ok) ->
       Alcotest.(check bool) ("invariant: " ^ name) true ok)
     (H.Serve.invariants rep);
   Alcotest.(check bool) "invariants_ok" true (H.Serve.invariants_ok rep)
