@@ -81,21 +81,9 @@ type report = { rep_config : config; rep_cells : cell list }
 
 (* ---------- layer 1: calibration + probes on the real machine ---------- *)
 
-let build_images prot prog =
-  let vb = P.build ~store_impl:M.Safestore.Simple_array P.Vanilla prog in
-  let reference = M.Loader.load vb.P.prog vb.P.config in
-  let deployed =
-    if prot = P.Vanilla then reference
-    else
-      let b = P.build ~store_impl:M.Safestore.Simple_array prot prog in
-      M.Loader.load b.P.prog b.P.config
-  in
-  (reference, deployed)
-
-let run_workload prot ?(faults = []) ?(sched_seed = 0) (w : W.Workload.t) =
-  let prog = W.Workload.compile w in
-  let _, deployed = build_images prot prog in
-  M.Interp.run ~fuel:w.W.Workload.fuel ~faults ~sched_seed deployed
+let image prot prog =
+  let b = P.build ~store_impl:M.Safestore.Simple_array prot prog in
+  M.Loader.load b.P.prog b.P.config
 
 (* Marginal service cycles per request class: two single-threaded runs at
    different request counts cancel out startup cost. Single-threaded runs
@@ -109,7 +97,10 @@ let calibrate cfg prot =
         let w =
           W.Webstack.server ~threads:1 ~shards:cfg.shards ~cls ~requests:n
         in
-        let r = run_workload prot w in
+        let r =
+          M.Interp.run ~fuel:w.W.Workload.fuel
+            (image prot (W.Workload.compile w))
+        in
         (match r.M.Interp.outcome with
          | M.Trap.Exit 0 -> ()
          | o ->
@@ -165,7 +156,9 @@ let run_probes cfg prot seed =
       ~requests:probe_requests
   in
   let prog = W.Workload.compile w in
-  let reference, deployed = build_images prot prog in
+  (* fault plans resolve their sites against the vanilla image *)
+  let reference = image P.Vanilla prog in
+  let deployed = if prot = P.Vanilla then reference else image prot prog in
   let baseline = M.Interp.run ~fuel:w.W.Workload.fuel ~sched_seed:seed deployed in
   (match baseline.M.Interp.outcome with
    | M.Trap.Exit 0 -> ()
@@ -188,82 +181,129 @@ let run_probes cfg prot seed =
 
 (* ---------- layer 2: the discrete-event simulation ---------- *)
 
-(* Binary min-heap on (time, seq): seq is the push counter, so same-time
-   events fire in push order — a total order independent of anything but
-   the simulation itself. *)
+(* The simulation allocates nothing per request or per event: an event is
+   one int (its kind in the low two bits, the operand above them), a
+   request is a slot in a slab of int columns, the admission queue is an
+   int ring, and arrivals are drawn lazily. Memory is O(queue + deadline),
+   not O(requests). *)
+
+let ev_arrive = 0  (* operand: arrival index *)
+let ev_retry = 1   (* operand: request slot *)
+let ev_free = 2    (* operand: worker *)
+let ev_kill = 3    (* operand: worker *)
+
+let[@inline] event kind x = (x lsl 2) lor kind
+
+(* Binary min-heap of int events on (time, seq): seq is the push counter,
+   so same-time events fire in push order — a total order independent of
+   anything but the simulation itself. *)
 module Heap = struct
-  type 'a t = {
+  type t = {
     mutable ts : int array;
     mutable seqs : int array;
-    mutable evs : 'a array;
+    mutable evs : int array;
     mutable n : int;
     mutable seq : int;
-    dummy : 'a;
   }
 
-  let create dummy =
-    { ts = Array.make 64 0; seqs = Array.make 64 0; evs = Array.make 64 dummy;
-      n = 0; seq = 0; dummy }
+  let create () =
+    { ts = Array.make 64 0; seqs = Array.make 64 0; evs = Array.make 64 0;
+      n = 0; seq = 0 }
 
-  let lt h i j =
-    h.ts.(i) < h.ts.(j) || (h.ts.(i) = h.ts.(j) && h.seqs.(i) < h.seqs.(j))
+  let is_empty h = h.n = 0
 
-  let swap h i j =
-    let t = h.ts.(i) in h.ts.(i) <- h.ts.(j); h.ts.(j) <- t;
-    let s = h.seqs.(i) in h.seqs.(i) <- h.seqs.(j); h.seqs.(j) <- s;
-    let e = h.evs.(i) in h.evs.(i) <- h.evs.(j); h.evs.(j) <- e
+  (* The time of the next event to [pop]; the heap must be non-empty. *)
+  let min_time h = h.ts.(0)
+
+  let[@inline] lt (ta : int) (sa : int) tb sb =
+    ta < tb || (ta = tb && sa < sb)
+
+  let[@inline] move h ~src ~dst =
+    h.ts.(dst) <- h.ts.(src);
+    h.seqs.(dst) <- h.seqs.(src);
+    h.evs.(dst) <- h.evs.(src)
 
   let push h t ev =
     if h.n = Array.length h.ts then begin
-      let grow a fill = Array.append a (Array.make h.n fill) in
-      h.ts <- grow h.ts 0; h.seqs <- grow h.seqs 0; h.evs <- grow h.evs h.dummy
+      let grow a = Array.append a (Array.make h.n 0) in
+      h.ts <- grow h.ts; h.seqs <- grow h.seqs; h.evs <- grow h.evs
     end;
-    h.ts.(h.n) <- t; h.seqs.(h.n) <- h.seq; h.evs.(h.n) <- ev;
-    h.seq <- h.seq + 1;
+    let s = h.seq in
+    h.seq <- s + 1;
     let i = ref h.n in
     h.n <- h.n + 1;
-    while !i > 0 && lt h !i ((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
+    while !i > 0 && lt t s h.ts.((!i - 1) / 2) h.seqs.((!i - 1) / 2) do
+      move h ~src:((!i - 1) / 2) ~dst:!i;
       i := (!i - 1) / 2
-    done
+    done;
+    h.ts.(!i) <- t; h.seqs.(!i) <- s; h.evs.(!i) <- ev
 
+  (* Remove the minimum and return its event; the heap must be
+     non-empty. *)
   let pop h =
-    if h.n = 0 then None
-    else begin
-      let t = h.ts.(0) and ev = h.evs.(0) in
-      h.n <- h.n - 1;
-      if h.n > 0 then begin
-        h.ts.(0) <- h.ts.(h.n); h.seqs.(0) <- h.seqs.(h.n);
-        h.evs.(0) <- h.evs.(h.n)
-      end;
-      h.evs.(h.n) <- h.dummy;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < h.n && lt h l !m then m := l;
-        if r < h.n && lt h r !m then m := r;
-        if !m = !i then continue := false
-        else begin
-          swap h !i !m;
-          i := !m
+    let ev = h.evs.(0) in
+    let n = h.n - 1 in
+    h.n <- n;
+    let t = h.ts.(n) and s = h.seqs.(n) and e = h.evs.(n) in
+    let i = ref 0 and sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        let m =
+          if l + 1 < n && lt h.ts.(l + 1) h.seqs.(l + 1) h.ts.(l) h.seqs.(l)
+          then l + 1 else l
+        in
+        if lt h.ts.(m) h.seqs.(m) t s then begin
+          move h ~src:m ~dst:!i;
+          i := m
         end
-      done;
-      Some (t, ev)
-    end
+        else sinking := false
+      end
+    done;
+    h.ts.(!i) <- t; h.seqs.(!i) <- s; h.evs.(!i) <- e;
+    ev
 end
 
-type req = {
-  id : int;
-  cls : int;
-  shard : int;
-  arrival : int;
-  deadline : int;
-  mutable attempt : int;
-}
+(* Live requests: one slot per request in flight (queued or waiting on a
+   retry), recycled through a stack of free slots. A request's arrival is
+   [deadline - deadline_c], so it is not stored. *)
+module Slab = struct
+  type t = {
+    mutable cls : int array;
+    mutable shard : int array;
+    mutable deadline : int array;
+    mutable attempt : int array;
+    mutable free : int array;  (* free[0 .. nfree-1] are unused slots *)
+    mutable nfree : int;
+  }
 
-type ev = Idle | Arrive of int | Retry of req | Free of int | Kill of int
+  let create () =
+    { cls = [||]; shard = [||]; deadline = [||]; attempt = [||];
+      free = [||]; nfree = 0 }
+
+  let grow s =
+    let cap = Array.length s.cls in
+    let cap' = max 64 (2 * cap) in
+    let ext a = Array.append a (Array.make (cap' - cap) 0) in
+    s.cls <- ext s.cls; s.shard <- ext s.shard;
+    s.deadline <- ext s.deadline; s.attempt <- ext s.attempt;
+    (* the new slots, lowest on top *)
+    s.free <- Array.init cap' (fun k -> cap' - 1 - k);
+    s.nfree <- cap' - cap
+
+  let alloc s ~cls ~shard ~deadline =
+    if s.nfree = 0 then grow s;
+    s.nfree <- s.nfree - 1;
+    let r = s.free.(s.nfree) in
+    s.cls.(r) <- cls; s.shard.(r) <- shard;
+    s.deadline.(r) <- deadline; s.attempt.(r) <- 1;
+    r
+
+  let release s r =
+    s.free.(s.nfree) <- r;
+    s.nfree <- s.nfree + 1
+end
 
 type shard_state = {
   mutable free_at : int;
@@ -278,7 +318,7 @@ type sim_out = {
   s_retried : int;
   s_killed : int;
   s_trips : int;
-  s_lat : int array;  (* served-request latencies, completion order *)
+  s_counts : int array;  (* s_counts.(l): served requests with latency l *)
 }
 
 (* Tunables, all relative to the calibrated mean service time so the same
@@ -293,6 +333,9 @@ let breaker_streak = 3
 let cooldown_mult = 20
 let recovery_mult = 8         (* shard-lock recovery after a worker dies *)
 let lock_share = 4            (* 1/lock_share of service holds the shard lock *)
+
+(* [Stdlib.max] is polymorphic: an out-of-line call into [compare]. *)
+let[@inline] imax (a : int) b = if a >= b then a else b
 
 let simulate cfg ~svc ~seed =
   let workers = cfg.workers and shards = cfg.shards and n = cfg.requests in
@@ -309,26 +352,25 @@ let simulate cfg ~svc ~seed =
   let arr_rng = Rng.create ((seed * 0x9E3779B9) + 1) in
   let fault_rng = Rng.create ((seed * 0x9E3779B9) + 2) in
   let sim_rng = Rng.create ((seed * 0x9E3779B9) + 3) in
-  let arr_time = Array.make n 0 in
-  let arr_shard = Array.make n 0 in
-  let t = ref 0 in
-  for i = 0 to n - 1 do
-    (* Uniform integer inter-arrivals on [1, 2*mean-1]: open-loop with
-       mean [mean_ia], no libm in sight. *)
-    t := !t + Rng.range arr_rng 1 ((2 * mean_ia) - 1);
-    arr_time.(i) <- !t;
-    arr_shard.(i) <- Rng.int arr_rng shards
-  done;
-  let horizon = !t in
+  (* Uniform integer inter-arrivals on [1, 2*mean-1]: open-loop with mean
+     [mean_ia], no libm in sight. Each arrival draws its gap, then its
+     shard. The fault schedule needs the arrival horizon up front, so a
+     first pass sums the gaps on a copy of the stream; the simulation
+     then draws the same arrivals lazily from the original. *)
+  let ia_hi = (2 * mean_ia) - 1 in
+  let horizon =
+    let scan = Rng.copy arr_rng in
+    let t = ref 0 in
+    for _ = 1 to n do
+      t := !t + Rng.range scan 1 ia_hi;
+      ignore (Rng.int scan shards : int)
+    done;
+    !t
+  in
   (* Fault schedule: kill up to two workers at T/3 and T/2 (always leaving
      one alive), and pick a hot shard whose service inflates by
      [stall_factor] during the middle third of the arrival horizon. *)
-  let kills =
-    if not cfg.faulted then []
-    else
-      List.filteri (fun i _ -> i < min 2 (workers - 1))
-        [ (0, horizon / 3); (1, horizon / 2) ]
-  in
+  let kills = if cfg.faulted then min 2 (workers - 1) else 0 in
   let hot_shard = Rng.int fault_rng shards in
   let stall_lo = horizon / 3 and stall_hi = 2 * horizon / 3 in
   let stalling = cfg.faulted in
@@ -338,18 +380,25 @@ let simulate cfg ~svc ~seed =
   let sh =
     Array.init shards (fun _ -> { free_at = 0; streak = 0; open_until = 0 })
   in
-  let q : req Queue.t = Queue.create () in
-  let heap = Heap.create Idle in
+  let reqs = Slab.create () in
+  let q = Array.make qcap 0 and q_head = ref 0 and q_len = ref 0 in
+  let heap = Heap.create () in
   let served = ref 0 and shed = ref 0 and timed_out = ref 0 in
   let retried = ref 0 and killed = ref 0 and trips = ref 0 in
-  let lat = Array.make n 0 in
-  let nlat = ref 0 in
-  List.iter
-    (fun (w, kt) ->
-      kill_time.(w) <- kt;
-      Heap.push heap kt (Kill w))
-    kills;
-  if n > 0 then Heap.push heap arr_time.(0) (Arrive 0);
+  let counts = Array.make (deadline_c + 1) 0 in
+  for w = 0 to kills - 1 do
+    kill_time.(w) <- (if w = 0 then horizon / 3 else horizon / 2);
+    Heap.push heap kill_time.(w) (event ev_kill w)
+  done;
+  (* The one pending arrival: its time and shard, drawn when it is
+     scheduled. *)
+  let arr_time = ref 0 and arr_shard = ref 0 in
+  let schedule_arrival i =
+    arr_time := !arr_time + Rng.range arr_rng 1 ia_hi;
+    arr_shard := Rng.int arr_rng shards;
+    Heap.push heap !arr_time (event ev_arrive i)
+  in
+  if n > 0 then schedule_arrival 0;
   let pick_worker () =
     let found = ref (-1) in
     for w = workers - 1 downto 0 do
@@ -366,120 +415,131 @@ let simulate cfg ~svc ~seed =
     end
   in
   let retry_path r now =
-    if now > r.deadline then incr timed_out
-    else if r.attempt >= max_attempts then incr shed
+    if now > reqs.Slab.deadline.(r) then begin
+      incr timed_out;
+      Slab.release reqs r
+    end
+    else if reqs.Slab.attempt.(r) >= max_attempts then begin
+      incr shed;
+      Slab.release reqs r
+    end
     else begin
-      r.attempt <- r.attempt + 1;
+      let attempt = reqs.Slab.attempt.(r) + 1 in
+      reqs.Slab.attempt.(r) <- attempt;
       incr retried;
       let backoff =
-        (mean_svc lsl (r.attempt - 2)) + Rng.int sim_rng ((mean_svc / 2) + 1)
+        (mean_svc lsl (attempt - 2)) + Rng.int sim_rng ((mean_svc / 2) + 1)
       in
-      Heap.push heap (now + backoff) (Retry r)
+      Heap.push heap (now + backoff) (event ev_retry r)
     end
   in
   let dispatch r w now =
     free.(w) <- false;
-    let s = sh.(r.shard) in
+    let shard = reqs.Slab.shard.(r) in
+    let s = sh.(shard) in
     let hot =
-      stalling && r.shard = hot_shard && now >= stall_lo && now < stall_hi
+      stalling && shard = hot_shard && now >= stall_lo && now < stall_hi
     in
-    let service = svc.(r.cls) * if hot then stall_factor else 1 in
-    let start = max now s.free_at in
+    let service = svc.(reqs.Slab.cls.(r)) * if hot then stall_factor else 1 in
+    let start = imax now s.free_at in
     let fin = start + service in
     if kill_time.(w) < fin then begin
       (* The worker dies mid-request: the shard lock it may hold needs
          recovery, the request re-enters via the retry path, and the
          worker never frees ([Kill w] does the bookkeeping). *)
-      let ft = max start kill_time.(w) in
+      let ft = imax start kill_time.(w) in
       alive.(w) <- false;
       s.free_at <- ft + recovery;
       shard_fail s ft;
       retry_path r ft
     end
     else begin
-      s.free_at <- start + max 1 (service / lock_share);
+      s.free_at <- start + imax 1 (service / lock_share);
       if service > slow_at then shard_fail s fin else s.streak <- 0;
-      Heap.push heap fin (Free w);
-      if fin > r.deadline then incr timed_out
+      Heap.push heap fin (event ev_free w);
+      let deadline = reqs.Slab.deadline.(r) in
+      if fin > deadline then incr timed_out
       else begin
+        (* fin <= deadline = arrival + deadline_c bounds the index *)
         incr served;
-        lat.(!nlat) <- fin - r.arrival;
-        incr nlat
-      end
+        let l = fin - (deadline - deadline_c) in
+        counts.(l) <- counts.(l) + 1
+      end;
+      Slab.release reqs r
     end
   in
   let rec try_dispatch now =
-    if not (Queue.is_empty q) then begin
+    if !q_len > 0 then begin
       let w = pick_worker () in
       if w >= 0 then begin
-        let r = Queue.pop q in
-        if now > r.deadline then begin
+        let r = q.(!q_head) in
+        q_head := (if !q_head + 1 = qcap then 0 else !q_head + 1);
+        decr q_len;
+        if now > reqs.Slab.deadline.(r) then begin
           incr timed_out;
-          try_dispatch now
+          Slab.release reqs r
         end
-        else if now < sh.(r.shard).open_until then begin
+        else if now < sh.(reqs.Slab.shard.(r)).open_until then
           (* Breaker open: fast-fail without burning a worker. *)
-          retry_path r now;
-          try_dispatch now
-        end
-        else begin
-          dispatch r w now;
-          try_dispatch now
-        end
+          retry_path r now
+        else dispatch r w now;
+        try_dispatch now
       end
     end
   in
   let admit r now =
-    if Queue.length q >= qcap then incr shed
+    if !q_len >= qcap then begin
+      incr shed;
+      Slab.release reqs r
+    end
     else begin
-      Queue.push r q;
+      q.((!q_head + !q_len) mod qcap) <- r;
+      incr q_len;
       try_dispatch now
     end
   in
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (now, ev) ->
-      (match ev with
-       | Idle -> ()
-       | Arrive i ->
-         if i + 1 < n then Heap.push heap arr_time.(i + 1) (Arrive (i + 1));
-         let r =
-           { id = i; cls = i mod 3; shard = arr_shard.(i);
-             arrival = now; deadline = now + deadline_c; attempt = 1 }
-         in
-         admit r now
-       | Retry r -> admit r now
-       | Free w ->
-         free.(w) <- true;
-         try_dispatch now
-       | Kill w ->
-         if alive.(w) then begin
-           alive.(w) <- false;
-           free.(w) <- false
-         end;
-         incr killed);
-      drain ()
-  in
-  drain ();
+  while not (Heap.is_empty heap) do
+    let now = Heap.min_time heap in
+    let ev = Heap.pop heap in
+    let kind = ev land 3 and x = ev asr 2 in
+    if kind = ev_arrive then begin
+      let shard = !arr_shard in
+      if x + 1 < n then schedule_arrival (x + 1);
+      admit
+        (Slab.alloc reqs ~cls:(x mod 3) ~shard ~deadline:(now + deadline_c))
+        now
+    end
+    else if kind = ev_retry then admit x now
+    else if kind = ev_free then begin
+      free.(x) <- true;
+      try_dispatch now
+    end
+    else begin
+      (* ev_kill *)
+      if alive.(x) then begin
+        alive.(x) <- false;
+        free.(x) <- false
+      end;
+      incr killed
+    end
+  done;
   (* All workers can be dead or wedged behind a recovered lock only up to
      a finite horizon; anything still queued when the event list is empty
      will never be served — its deadline passes in silence. *)
-  Queue.iter (fun _ -> incr timed_out) q;
-  Queue.clear q;
+  timed_out := !timed_out + !q_len;
   { s_served = !served; s_shed = !shed; s_timed_out = !timed_out;
     s_retried = !retried; s_killed = !killed; s_trips = !trips;
-    s_lat = Array.sub lat 0 !nlat }
+    s_counts = counts }
 
 (* ---------- percentiles + histogram ---------- *)
 
-let nearest_rank sorted pct_num pct_den =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else begin
-    let rank = ((n * pct_num) + (pct_den - 1)) / pct_den in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
+type tail = {
+  t_p50 : int;
+  t_p99 : int;
+  t_p999 : int;
+  t_max : int;
+  t_hist : (int * int) list;
+}
 
 let log2_floor v =
   let v = max 1 v in
@@ -491,24 +551,50 @@ let log2_floor v =
   done;
   !k
 
-let histogram lat =
+let tail counts =
+  let total = Array.fold_left ( + ) 0 counts in
+  (* Nearest rank: the value at 0-based index [rank - 1] of the sorted
+     vector is the least latency whose cumulative count exceeds it. *)
+  let nearest_rank pct_num pct_den =
+    if total = 0 then 0
+    else begin
+      let rank = ((total * pct_num) + (pct_den - 1)) / pct_den in
+      let idx = max 0 (min (total - 1) (rank - 1)) in
+      let v = ref 0 and cum = ref counts.(0) in
+      while !cum <= idx do
+        incr v;
+        cum := !cum + counts.(!v)
+      done;
+      !v
+    end
+  in
+  let max_lat = ref 0 in
   let buckets = Array.make 63 0 in
-  Array.iter (fun l -> let k = log2_floor l in buckets.(k) <- buckets.(k) + 1) lat;
-  let out = ref [] in
+  Array.iteri
+    (fun l c ->
+      if c > 0 then begin
+        max_lat := l;
+        let k = log2_floor l in
+        buckets.(k) <- buckets.(k) + c
+      end)
+    counts;
+  let hist = ref [] in
   for k = 62 downto 0 do
-    if buckets.(k) > 0 then out := (1 lsl k, buckets.(k)) :: !out
+    if buckets.(k) > 0 then hist := (1 lsl k, buckets.(k)) :: !hist
   done;
-  !out
+  { t_p50 = nearest_rank 50 100;
+    t_p99 = nearest_rank 99 100;
+    t_p999 = nearest_rank 999 1000;
+    t_max = !max_lat;
+    t_hist = !hist }
 
 (* ---------- the campaign ---------- *)
 
-let exec_cell cfg (prot, seed) =
-  let svc = calibrate cfg prot in
+let exec_cell cfg svc_of (prot, seed) =
+  let svc = svc_of prot in
   let probes = run_probes cfg prot seed in
   let s = simulate cfg ~svc ~seed in
-  let sorted = Array.copy s.s_lat in
-  Array.sort (fun (a : int) b -> compare a b) sorted;
-  let nl = Array.length sorted in
+  let tl = tail s.s_counts in
   { c_protection = prot;
     c_seed = seed;
     c_svc = svc;
@@ -520,11 +606,11 @@ let exec_cell cfg (prot, seed) =
     c_retried = s.s_retried;
     c_killed = s.s_killed;
     c_trips = s.s_trips;
-    c_p50 = nearest_rank sorted 50 100;
-    c_p99 = nearest_rank sorted 99 100;
-    c_p999 = nearest_rank sorted 999 1000;
-    c_max = (if nl = 0 then 0 else sorted.(nl - 1));
-    c_hist = histogram s.s_lat }
+    c_p50 = tl.t_p50;
+    c_p99 = tl.t_p99;
+    c_p999 = tl.t_p999;
+    c_max = tl.t_max;
+    c_hist = tl.t_hist }
 
 let run ?(jobs = 1) cfg =
   validate cfg;
@@ -534,7 +620,14 @@ let run ?(jobs = 1) cfg =
       cfg.protections
   in
   let rep_cells =
-    Pool.with_pool ~jobs (fun pool -> Pool.map pool (exec_cell cfg) cells)
+    Pool.with_pool ~jobs (fun pool ->
+        (* Calibration is seed-independent: one per protection, shared by
+           all of that protection's cells. *)
+        let svcs =
+          List.combine cfg.protections
+            (Pool.map pool (calibrate cfg) cfg.protections)
+        in
+        Pool.map pool (exec_cell cfg (fun prot -> List.assoc prot svcs)) cells)
   in
   { rep_config = cfg; rep_cells }
 

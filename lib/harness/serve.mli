@@ -7,8 +7,9 @@
     worker threads over a sharded, per-shard-mutex KV store, dispatching
     every request through a function-pointer handler table — runs on the
     deterministic machine under each protection. Per-class service costs
-    are calibrated from single-threaded runs (marginal cycles per
-    request), and per-(protection, seed) {e probes} replay the server
+    are calibrated once per protection from single-threaded runs
+    (marginal cycles per request; seed-independent), and
+    per-(protection, seed) {e probes} replay the server
     under a hijack plan (arbitrary write of the handler table) and a
     degradation plan (worker kill + stall + the same hijack write) to
     check that CPI is never hijacked even mid-degradation.
@@ -20,7 +21,9 @@
     exponential backoff, a circuit breaker per shard, injected worker
     kills and a hot-shard stall window. Every number it produces is in
     simulated cycles — no wall clock — so output is byte-identical
-    across [--jobs] and across runs. *)
+    across [--jobs] and across runs. It allocates nothing per request:
+    a cell holds O(queue + deadline) memory whatever [requests] is, and
+    its latency tail is read exactly off a per-cycle count vector. *)
 
 module P = Levee_core.Pipeline
 
@@ -34,7 +37,8 @@ type config = {
 }
 
 (** The campaign the ROADMAP asks for: ~10^6 requests per cell across
-    {vanilla, safestack, cpi} x seeds [0; 1], faults on. *)
+    {vanilla, safestack, cpi, cfi-type, cpi-crypt} x seeds [0; 1],
+    faults on. *)
 val default : config
 
 (** A small matrix for tests and the [@jobs-smoke] alias: same shape,
@@ -72,6 +76,24 @@ type cell = {
 }
 
 type report = { rep_config : config; rep_cells : cell list }
+
+(** A latency tail: nearest-rank percentiles, maximum, and the log2
+    histogram as in {!cell}. *)
+type tail = {
+  t_p50 : int;
+  t_p99 : int;
+  t_p999 : int;
+  t_max : int;
+  t_hist : (int * int) list;
+}
+
+(** [tail counts] summarises a latency count vector ([counts.(l)] is the
+    number of served requests with latency [l] cycles) exactly as
+    sorting the full latency vector would; all zeros when nothing was
+    served. A served latency never exceeds the deadline (50 x the mean
+    service time), so the vector stays small however many requests a
+    cell simulates. *)
+val tail : int array -> tail
 
 (** Run the campaign. Cells are executed on a worker pool but integrated
     in submission order, so the report is independent of [jobs]. *)

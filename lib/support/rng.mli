@@ -16,13 +16,12 @@ val split : t -> t
 
 val next_int64 : t -> int64
 
-(** Uniform in [0, bound). Requires [bound > 0]. *)
+(** Uniform in [0, bound). Requires [bound > 0]. Allocates nothing. *)
 val int : t -> int -> int
 
-(** Uniform in [lo, hi] inclusive. *)
+(** Uniform in [lo, hi] inclusive. Allocates nothing. *)
 val range : t -> int -> int -> int
 
 val bool : t -> bool
 val pick : t -> 'a array -> 'a
-val pick_list : t -> 'a list -> 'a
 val shuffle : t -> 'a array -> unit

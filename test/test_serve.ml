@@ -1,7 +1,9 @@
 (* The resilient-server campaign: availability fault kinds on the
    machine, the Serve harness invariants, golden rows for one cell of
-   the smoke matrix, and --jobs determinism of the levee-serve/1
-   document. *)
+   the smoke matrix, --jobs determinism of the levee-serve/1 document,
+   and the simulation itself: whole-document digests of more matrix
+   shapes, the count-based latency tail, and no allocation per
+   request. *)
 
 module M = Levee_machine
 module P = Levee_core.Pipeline
@@ -232,6 +234,122 @@ let test_records_shape () =
       "killed_workers"; "breaker_trips"; "p50_cycles"; "p99_cycles";
       "p999_cycles" ]
 
+(* Whole-document digests of three more matrix shapes, captured on the
+   array-based simulator this one replaced: faults off, a single worker
+   and shard (the kill plan is a no-op), and a wide 7-worker, 16-shard,
+   3-seed matrix. Any drift in the simulation, its draws or the tail
+   summary changes the digest. *)
+let digest_of cfg =
+  Digest.to_hex (Digest.string (H.Serve.to_json (H.Serve.run ~jobs:2 cfg)))
+
+let test_golden_digests () =
+  let small = { H.Serve.smoke with H.Serve.requests = 20_000 } in
+  List.iter
+    (fun (name, cfg, want) ->
+      Alcotest.(check string) (name ^ ": levee-serve/1 digest") want
+        (digest_of cfg))
+    [ ( "no faults",
+        { small with H.Serve.faulted = false },
+        "c6b65f1218f84a8d7e61243e59a87111" );
+      ( "1 worker, 1 shard",
+        { small with H.Serve.workers = 1; shards = 1 },
+        "30aeb1f34ae1d3828f59c6d20c371b0d" );
+      ( "7 workers, 16 shards, 3 seeds",
+        { small with H.Serve.workers = 7; shards = 16; seeds = [ 0; 1; 2 ] },
+        "5cf8ae8379b7ef43267b377b93c21790" ) ]
+
+let test_single_request () =
+  (* One arrival lands in an idle system after the kills have fired, so
+     it is always served: the tail collapses onto its one latency. *)
+  let cfg = { H.Serve.smoke with H.Serve.requests = 1 } in
+  let rep = H.Serve.run ~jobs:2 cfg in
+  Alcotest.(check string) "levee-serve/1 digest"
+    "95da10e717d0d7815535bf3c902d3e44"
+    (Digest.to_hex (Digest.string (H.Serve.to_json rep)));
+  let c = List.hd rep.H.Serve.rep_cells in
+  Alcotest.(check (list int)) "served/shed/timed out" [ 1; 0; 0 ]
+    [ c.H.Serve.c_served; c.H.Serve.c_shed; c.H.Serve.c_timed_out ];
+  Alcotest.(check (list int)) "p50/p99/p999/max" [ 215; 215; 215; 215 ]
+    [ c.H.Serve.c_p50; c.H.Serve.c_p99; c.H.Serve.c_p999; c.H.Serve.c_max ];
+  Alcotest.(check (list (pair int int))) "histogram" [ (128, 1) ]
+    c.H.Serve.c_hist
+
+let tail_row (tl : H.Serve.tail) =
+  [ tl.H.Serve.t_p50; tl.H.Serve.t_p99; tl.H.Serve.t_p999; tl.H.Serve.t_max ]
+
+let test_tail_nothing_served () =
+  let tl = H.Serve.tail (Array.make 100 0) in
+  Alcotest.(check (list int)) "p50/p99/p999/max" [ 0; 0; 0; 0 ]
+    (tail_row tl);
+  Alcotest.(check (list (pair int int))) "histogram" [] tl.H.Serve.t_hist
+
+(* The count-based tail against the definition: nearest rank on the
+   sorted latency vector, and the log2 bucket of every latency. *)
+let test_tail_matches_sorted () =
+  let rng = Levee_support.Rng.create 11 in
+  for trial = 1 to 200 do
+    let len = 1 + Levee_support.Rng.int rng 300 in
+    let counts = Array.make len 0 in
+    for _ = 1 to Levee_support.Rng.int rng (1 + (trial * 10)) do
+      let l = Levee_support.Rng.int rng len in
+      counts.(l) <- counts.(l) + 1
+    done;
+    let sorted =
+      Array.of_list
+        (List.concat
+           (List.init len (fun l -> List.init counts.(l) (fun _ -> l))))
+    in
+    let n = Array.length sorted in
+    let rank num den =
+      if n = 0 then 0
+      else sorted.(max 0 (min (n - 1) ((((n * num) + den - 1) / den) - 1)))
+    in
+    let bucket l =
+      let rec go k = if 1 lsl (k + 1) > max 1 l then k else go (k + 1) in
+      1 lsl go 0
+    in
+    let hist =
+      List.filter_map
+        (fun k ->
+          let c =
+            Array.fold_left
+              (fun a l -> if bucket l = 1 lsl k then a + 1 else a)
+              0 sorted
+          in
+          if c > 0 then Some (1 lsl k, c) else None)
+        (List.init 10 Fun.id)
+    in
+    let tl = H.Serve.tail counts in
+    let what = Printf.sprintf "trial %d (%d latencies)" trial n in
+    Alcotest.(check (list int)) (what ^ ": p50/p99/p999/max")
+      [ rank 50 100; rank 99 100; rank 999 1000;
+        (if n = 0 then 0 else sorted.(n - 1)) ]
+      (tail_row tl);
+    Alcotest.(check (list (pair int int))) (what ^ ": histogram") hist
+      tl.H.Serve.t_hist
+  done
+
+(* The simulation allocates nothing per request: two runs that differ
+   only in [requests] differ by (almost) no minor words. A warm-up run
+   first takes every one-time allocation out of the comparison. *)
+let test_no_allocation_per_request () =
+  let cfg requests =
+    { H.Serve.smoke with
+      H.Serve.requests; protections = [ P.Vanilla ]; seeds = [ 0 ] }
+  in
+  let minor_words requests =
+    let before = Gc.minor_words () in
+    ignore (H.Serve.run ~jobs:1 (cfg requests) : H.Serve.report);
+    Gc.minor_words () -. before
+  in
+  ignore (minor_words 20_000 : float);
+  let small = minor_words 20_000 in
+  let large = minor_words 120_000 in
+  let per_request = (large -. small) /. 100_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per extra request" per_request)
+    true (per_request < 1.0)
+
 let test_arg_validation () =
   let rejects msg f =
     match f () with
@@ -266,4 +384,12 @@ let () =
           t "cpi probes never hijacked" test_cpi_probes_never_hijacked;
           t "byte-identical across jobs" test_jobs_determinism;
           t "run-store records + tolerances" test_records_shape;
-          t "argument validation names the flag" test_arg_validation ] ) ]
+          t "argument validation names the flag" test_arg_validation ] );
+      ( "simulation",
+        [ t "golden digests of three matrix shapes" test_golden_digests;
+          t "single request: one-latency tail" test_single_request;
+          t "tail of nothing served is empty" test_tail_nothing_served;
+          t "tail equals nearest rank on the sorted vector"
+            test_tail_matches_sorted;
+          t "no allocation per simulated request"
+            test_no_allocation_per_request ] ) ]

@@ -13,8 +13,22 @@ let t name f = Alcotest.test_case name f
 let protections = [ P.Vanilla; P.Hardened; P.Safe_stack; P.Cfi; P.Cps; P.Cpi;
                     P.Softbound ]
 
-let run_all (w : W.Workload.t) =
-  List.map (fun p -> (p, W.Workload.run ~protection:p w)) protections
+(* Every (workload, protection) cell runs at most once per process: the
+   differential group and the overhead shapes (which compare against
+   vanilla over and over) share this memo. Workload names are unique. *)
+let runs : (string * P.protection, M.Interp.result) Hashtbl.t =
+  Hashtbl.create 512
+
+let run prot (w : W.Workload.t) =
+  let key = (w.W.Workload.name, prot) in
+  match Hashtbl.find_opt runs key with
+  | Some r -> r
+  | None ->
+    let r = W.Workload.run ~protection:prot w in
+    Hashtbl.add runs key r;
+    r
+
+let run_all (w : W.Workload.t) = List.map (fun p -> (p, run p w)) protections
 
 let check_differential (w : W.Workload.t) () =
   let results = run_all w in
@@ -45,10 +59,8 @@ let differential_cases =
     (W.Spec.all @ W.Phoronix.all @ W.Webstack.all @ W.Base_system.all)
 
 let overhead prot (w : W.Workload.t) =
-  let base = W.Workload.run ~protection:P.Vanilla w in
-  let r = W.Workload.run ~protection:prot w in
-  Levee_support.Stats.overhead_pct ~base:base.M.Interp.cycles
-    ~instrumented:r.M.Interp.cycles
+  Levee_support.Stats.overhead_pct ~base:(run P.Vanilla w).M.Interp.cycles
+    ~instrumented:(run prot w).M.Interp.cycles
 
 let test_cpp_heavier_than_c () =
   (* Table 1's structure: the C++ group costs CPI more than the C group *)
